@@ -376,23 +376,34 @@ impl AnalysisCache {
     /// (Self::content_key). Callers touching several tables for the same
     /// source hash it once and reuse the key.
     pub fn parse_keyed(&self, key: u64, source: &str) -> Result<Arc<Program>, ParseError> {
-        if !self.enabled {
-            self.misses.inc();
-            return crate::parser::parse(source).map(Arc::new);
-        }
-        if self.faulted(CacheOp::Get, key) {
-            // Injected lookup fault: degrade to a recompute (and skip the
-            // store — a faulted read path should not mutate storage).
-            self.misses.inc();
+        self.parse_counted(key, source, &self.hits, &self.misses)
+    }
+
+    /// The one cached-parse body behind [`parse_keyed`](Self::parse_keyed)
+    /// and [`parse_stage`](Self::parse_stage): they share storage, fault
+    /// sites and eviction, and differ only in the hit/miss counter pair
+    /// they bump. Errors are cached like programs.
+    fn parse_counted(
+        &self,
+        key: u64,
+        source: &str,
+        hits: &Counter,
+        misses: &Counter,
+    ) -> Result<Arc<Program>, ParseError> {
+        // Disabled, or an injected lookup fault: degrade to a recompute
+        // (and skip the store — a faulted read path should not mutate
+        // storage).
+        if !self.enabled || self.faulted(CacheOp::Get, key) {
+            misses.inc();
             return crate::parser::parse(source).map(Arc::new);
         }
         if let Some(cached) = self.parses.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
-            self.hits.inc();
+            hits.inc();
             return cached.clone();
         }
         // Compute outside the lock; a concurrent shard may duplicate the
         // parse of a brand-new key, but both produce identical values.
-        self.misses.inc();
+        misses.inc();
         let result = crate::parser::parse(source).map(Arc::new);
         if self.faulted(CacheOp::Put, key) {
             return result;
@@ -546,27 +557,8 @@ impl AnalysisCache {
     /// counters. Storage is shared with `parse_keyed`: a unit parsed by the
     /// batch workflow is a warm hit for the serving path and vice versa.
     pub fn parse_stage(&self, key: u64, source: &str) -> Result<Arc<Program>, ParseError> {
-        if !self.enabled || self.faulted(CacheOp::Get, key) {
-            self.stage_misses[Stage::Parse.idx()].inc();
-            return crate::parser::parse(source).map(Arc::new);
-        }
-        if let Some(cached) = self.parses.lock().unwrap_or_else(|e| e.into_inner()).get(&key) {
-            self.stage_hits[Stage::Parse.idx()].inc();
-            return cached.clone();
-        }
-        self.stage_misses[Stage::Parse.idx()].inc();
-        let result = crate::parser::parse(source).map(Arc::new);
-        if self.faulted(CacheOp::Put, key) {
-            return result;
-        }
-        let mut parses = self.parses.lock().unwrap_or_else(|e| e.into_inner());
-        self.make_room(&mut parses, self.entry_limit, true);
-        let prev = parses.insert(key, result.clone());
-        drop(parses);
-        if prev.is_none() {
-            self.bytes.add(source.len() as i64);
-        }
-        result
+        let idx = Stage::Parse.idx();
+        self.parse_counted(key, source, &self.stage_hits[idx], &self.stage_misses[idx])
     }
 }
 

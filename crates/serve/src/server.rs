@@ -18,10 +18,10 @@ use crate::protocol::{
     Frame, Request, RequestError, Response, MAX_REQUEST_BYTES,
 };
 use crate::service::ServiceCore;
-use crossbeam::channel;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -167,7 +167,7 @@ pub fn spawn(addr: &str, config: ServeConfig, metrics: &Registry) -> std::io::Re
     // `queue + workers` slots: depth admission keeps at most `queue` jobs
     // pending, so a post-admission send always finds room even while every
     // worker holds one job it has not finished writing out.
-    let (tx, rx) = channel::bounded::<Job>(config.queue.max(1) + workers);
+    let (tx, rx) = sync_channel::<Job>(config.queue.max(1) + workers);
     let rx = Arc::new(Mutex::new(rx));
 
     let mut worker_handles = Vec::with_capacity(workers);
@@ -201,7 +201,7 @@ pub fn spawn(addr: &str, config: ServeConfig, metrics: &Registry) -> std::io::Re
 }
 
 /// Executes queued jobs until every sender is gone.
-fn worker_loop(shared: &Shared, rx: &Mutex<channel::Receiver<Job>>) {
+fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
     loop {
         let job = match rx.lock() {
             Ok(guard) => guard.recv(),
@@ -233,7 +233,7 @@ fn write_line(writer: &Mutex<TcpStream>, resp: &Response) {
 /// queue; an HTTP preamble diverts to the one-shot bridge.
 fn serve_connection(
     shared: &Shared,
-    tx: &channel::Sender<Job>,
+    tx: &SyncSender<Job>,
     stream: TcpStream,
 ) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
@@ -268,12 +268,7 @@ fn reject(shared: &Shared, writer: &Arc<Mutex<TcpStream>>, err: &RequestError) {
 }
 
 /// Admission control: CAS the depth below the bound or shed.
-fn submit(
-    shared: &Shared,
-    tx: &channel::Sender<Job>,
-    writer: &Arc<Mutex<TcpStream>>,
-    req: Request,
-) {
+fn submit(shared: &Shared, tx: &SyncSender<Job>, writer: &Arc<Mutex<TcpStream>>, req: Request) {
     shared.metrics.counter("serve.requests").inc();
     let admitted = loop {
         let cur = shared.depth.load(Ordering::Acquire);

@@ -64,19 +64,6 @@ fn full_pipeline_from_corpus_to_sft() {
 }
 
 #[test]
-fn pipelined_workflow_equals_sequential_across_teams() {
-    let corpus = stream(3, 16);
-    let mut registry = DetectorRegistry::new();
-    registry.register(Box::new(RuleBasedDetector::standard()));
-    let engine = WorkflowEngine::new(registry, WorkflowConfig::default());
-    let seq = engine.process(corpus.samples());
-    let pipe = engine.process_pipelined(corpus.samples());
-    assert_eq!(seq.detection_metrics(), pipe.detection_metrics());
-    assert_eq!(seq.auto_fixed, pipe.auto_fixed);
-    assert_eq!(seq.escaped, pipe.escaped);
-}
-
-#[test]
 fn rule_suite_and_taint_engine_agree_on_injection() {
     // The high-level detector registry and the low-level taint engine must
     // tell the same story on taint-style classes.

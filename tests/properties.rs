@@ -193,9 +193,9 @@ proptest! {
     }
 
     /// The workflow engine is a pure function of (samples, config): same
-    /// inputs, same report — and the pipelined execution agrees.
+    /// inputs, same report.
     #[test]
-    fn workflow_deterministic_and_pipeline_equivalent(seed in any::<u64>()) {
+    fn workflow_is_deterministic(seed in any::<u64>()) {
         let ds = DatasetBuilder::new(seed).vulnerable_count(6).vulnerable_fraction(0.3).build();
         let mk = || {
             let mut registry = DetectorRegistry::new();
@@ -205,9 +205,6 @@ proptest! {
         let a = mk().process(ds.samples());
         let b = mk().process(ds.samples());
         prop_assert_eq!(&a, &b);
-        let c = mk().process_pipelined(ds.samples());
-        prop_assert_eq!(a.detection_metrics(), c.detection_metrics());
-        prop_assert_eq!(a.auto_fixed, c.auto_fixed);
     }
 
     /// The abstract-interpretation solver terminates (converges within its
