@@ -22,20 +22,23 @@ use crate::detectors::StaticDetector;
 use crate::finding::{Confidence, Evidence, EvidenceFact, Finding};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::Instant;
 use vulnman_lang::absint::domain::inst_reads;
 use vulnman_lang::absint::ownership::FREE_FNS;
 use vulnman_lang::absint::provenance::{KIND_COMMAND, KIND_FORMAT};
 use vulnman_lang::absint::{
-    analyze_program_parallel, Domain, DomainAnalysis, Env, Init, InitDomain, Interval,
-    IntervalDomain, Nullness, NullnessDomain, Ownership, OwnershipDomain, Provenance,
-    ProvenanceDomain, SolverConfig, SolverStats, Width, WidthDomain,
+    analyze_program, Domain, DomainAnalysis, Env, Init, InitDomain, Interval, IntervalDomain,
+    Nullness, NullnessDomain, Ownership, OwnershipDomain, Provenance, ProvenanceDomain,
+    SolverConfig, SolverStats, Width, WidthDomain,
 };
 use vulnman_lang::ast::{BinOp, Expr, ExprKind, Function, LValue, Program, Type, UnOp};
 use vulnman_lang::cfg::{Cfg, CfgInst};
+use vulnman_lang::hash::{fnv1a, fnv1a_seeded};
 use vulnman_lang::incremental::{
     analyze_program_incremental_in, IncrementalContext, IncrementalTrace,
 };
+use vulnman_lang::AnalysisCache;
 use vulnman_obs::Registry;
 use vulnman_synth::cwe::Cwe;
 
@@ -48,22 +51,12 @@ use vulnman_synth::cwe::Cwe;
 pub struct SemanticScan {
     /// Findings, sorted by `(span.start, cwe)`; each carries evidence.
     pub findings: Vec<Finding>,
-    /// Accumulated fixpoint statistics across all three domain passes.
+    /// Accumulated fixpoint statistics across all domain passes.
     pub stats: SolverStats,
-    /// Wall time of the interval pass (solver + checker), in microseconds.
-    pub interval_micros: u64,
-    /// Wall time of the nullness pass, in microseconds.
-    pub nullness_micros: u64,
-    /// Wall time of the definite-initialization pass, in microseconds.
-    pub init_micros: u64,
-    /// Wall time of the ownership pass (including the trace-interleaving
-    /// TOCTOU checker it hosts), in microseconds.
-    pub ownership_micros: u64,
-    /// Wall time of the width/truncation pass, in microseconds.
-    pub width_micros: u64,
-    /// Wall time of the provenance (kind-masked taint) pass, in
-    /// microseconds.
-    pub provenance_micros: u64,
+    /// Wall time of each domain pass (solver + checkers), in microseconds,
+    /// keyed by domain name in pass order. The ownership pass includes the
+    /// trace-interleaving TOCTOU checker it hosts.
+    pub domain_micros: Vec<(&'static str, u64)>,
 }
 
 /// The result of an incremental semantic scan: findings and statistics
@@ -74,15 +67,120 @@ pub struct SemanticScan {
 pub struct IncrementalSemanticScan {
     /// Findings, sorted by `(span.start, cwe)`; each carries evidence.
     pub findings: Vec<Finding>,
-    /// Accumulated fixpoint statistics across all three domain passes
-    /// (cached components contribute their recorded statistics).
+    /// Accumulated fixpoint statistics across all domain passes (cached
+    /// components contribute their recorded statistics).
     pub stats: SolverStats,
     /// Which functions any domain pass re-solved vs. reused.
     pub trace: IncrementalTrace,
 }
 
-/// Runs the three abstract domains over a program and reports semantic
-/// findings with machine-checkable evidence.
+/// Builds a pass's domain from the callee summaries solved so far.
+type MakeDomain<D> = fn(&BTreeMap<String, <D as Domain>::Value>) -> D;
+
+/// A per-function checker: inspects one solved function and appends its
+/// findings.
+type Checker<D> = fn(&Function, &Cfg, &D, &DomainAnalysis<<D as Domain>::Value>, &mut Vec<Finding>);
+
+/// Runs one domain pass over a whole program. The drivers share the pass
+/// list in [`run_passes`]: [`BatchDriver`] solves every function with
+/// [`analyze_program`], [`IncrementalDriver`] goes through the per-stage
+/// tables of an [`AnalysisCache`].
+trait PassDriver {
+    /// Runs the pass called `name` (the `absint.domain.<name>_micros`
+    /// histogram) under stage-key tag `tag`.
+    fn pass<D>(&mut self, name: &'static str, tag: u64, make: MakeDomain<D>, check: Checker<D>)
+    where
+        D: Domain<Value: Send + Sync + 'static>;
+}
+
+/// The six domain passes, in report order: domain name, stage-key tag,
+/// domain, checker. Every driver runs exactly this list, so a new domain is
+/// one line here.
+fn run_passes(d: &mut impl PassDriver) {
+    d.pass("interval", 0x01, |s| IntervalDomain::with_summaries(s.clone()), check_intervals);
+    d.pass("nullness", 0x02, |s| NullnessDomain::with_summaries(s.clone()), check_nullness);
+    d.pass("init", 0x03, |_| InitDomain, check_init);
+    d.pass("ownership", 0x04, |s| OwnershipDomain::with_summaries(s.clone()), check_ownership);
+    d.pass("width", 0x05, |s| WidthDomain::with_summaries(s.clone()), check_width);
+    d.pass("provenance", 0x06, |s| ProvenanceDomain::with_summaries(s.clone()), check_sinks);
+}
+
+/// Solves every function of one program per pass, timing each pass.
+struct BatchDriver<'p> {
+    program: &'p Program,
+    config: SolverConfig,
+    scan: SemanticScan,
+}
+
+impl PassDriver for BatchDriver<'_> {
+    fn pass<D>(&mut self, name: &'static str, _tag: u64, make: MakeDomain<D>, check: Checker<D>)
+    where
+        D: Domain<Value: Send + Sync + 'static>,
+    {
+        let t = Instant::now();
+        let findings = &mut self.scan.findings;
+        let pa = analyze_program(self.program, self.config, make, |f, cfg, d, a| {
+            check(f, cfg, d, a, findings)
+        });
+        self.scan.stats.absorb(&pa.stats);
+        self.scan.domain_micros.push((name, t.elapsed().as_micros() as u64));
+    }
+}
+
+/// Runs each pass through the per-stage incremental tables of a cache,
+/// re-solving only the call-graph components whose inputs changed.
+struct IncrementalDriver<'a> {
+    ctx: &'a IncrementalContext,
+    program: &'a Program,
+    cache: &'a AnalysisCache,
+    config: SolverConfig,
+    base: u64,
+    scan: IncrementalSemanticScan,
+}
+
+impl PassDriver for IncrementalDriver<'_> {
+    fn pass<D>(&mut self, _name: &'static str, tag: u64, make: MakeDomain<D>, check: Checker<D>)
+    where
+        D: Domain<Value: Send + Sync + 'static>,
+    {
+        let run = analyze_program_incremental_in(
+            self.ctx,
+            self.program,
+            self.cache,
+            self.config,
+            self.base ^ tag,
+            make,
+            |f, cfg, d, a| {
+                let mut out = Vec::new();
+                check(f, cfg, d, a, &mut out);
+                out
+            },
+        );
+        self.scan.stats.absorb(&run.analysis.stats);
+        self.scan.trace.merge(&run.trace);
+        self.scan.findings.extend(run.payloads.into_iter().flat_map(|(_, f)| f));
+    }
+}
+
+/// Collects the pass names without running anything.
+struct PassNames(Vec<&'static str>);
+
+impl PassDriver for PassNames {
+    fn pass<D>(&mut self, name: &'static str, _tag: u64, _: MakeDomain<D>, _: Checker<D>)
+    where
+        D: Domain<Value: Send + Sync + 'static>,
+    {
+        self.0.push(name);
+    }
+}
+
+/// The `absint.domain.<name>_micros` histogram of one pass.
+fn domain_histogram(name: &str) -> String {
+    format!("absint.domain.{name}_micros")
+}
+
+/// Runs the abstract domains over a program and reports semantic findings
+/// with machine-checkable evidence.
 ///
 /// Implements [`StaticDetector`] so it plugs into the same registries as the
 /// rule suite, but it is deliberately *not* part of
@@ -91,143 +189,42 @@ pub struct IncrementalSemanticScan {
 #[derive(Debug, Clone, Copy)]
 pub struct SemanticEngine {
     config: SolverConfig,
-    jobs: usize,
 }
 
 impl SemanticEngine {
     /// An engine with the default solver configuration.
     pub fn new() -> Self {
-        SemanticEngine { config: SolverConfig::default(), jobs: 1 }
+        SemanticEngine { config: SolverConfig::default() }
     }
 
     /// An engine with custom widening/iteration knobs.
     pub fn with_config(config: SolverConfig) -> Self {
-        SemanticEngine { config, jobs: 1 }
-    }
-
-    /// Solves per-function fixpoints on up to `jobs` worker threads via
-    /// [`analyze_program_parallel`]. Findings, summaries, and statistics
-    /// are byte-identical for every value, so `jobs` is deliberately not
-    /// part of [`SemanticEngine::fingerprint`] — cached results are shared
-    /// across worker counts. Small programs always solve sequentially.
-    pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
+        SemanticEngine { config }
     }
 
     /// A 64-bit fingerprint of the engine configuration, used as the
-    /// analysis-cache config key (same FNV construction as
-    /// [`RuleEngine::fingerprint`](crate::detectors::RuleEngine::fingerprint)).
+    /// analysis-cache config key.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        for b in "semantic-suite".bytes() {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
-        for v in [self.config.widening_threshold as u64, self.config.max_iterations] {
-            for b in v.to_le_bytes() {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
-        }
-        h
+        [self.config.widening_threshold as u64, self.config.max_iterations]
+            .iter()
+            .fold(fnv1a(b"semantic-suite"), |h, v| fnv1a_seeded(h, &v.to_le_bytes()))
     }
 
-    /// Runs all three domain passes and returns findings plus telemetry.
+    /// Runs every domain pass and returns findings plus telemetry.
     pub fn analyze(&self, program: &Program) -> SemanticScan {
-        let mut findings = Vec::new();
-        let mut stats = SolverStats { converged: true, ..SolverStats::default() };
-
-        let t = Instant::now();
-        let pa = analyze_program_parallel::<IntervalDomain, _, _>(
+        let mut driver = BatchDriver {
             program,
-            self.config,
-            self.jobs,
-            |summaries| IntervalDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                check_intervals(func, cfg, domain, analysis, &mut findings);
+            config: self.config,
+            scan: SemanticScan {
+                findings: Vec::new(),
+                stats: SolverStats { converged: true, ..SolverStats::default() },
+                domain_micros: Vec::new(),
             },
-        );
-        stats.absorb(&pa.stats);
-        let interval_micros = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let pa = analyze_program_parallel::<NullnessDomain, _, _>(
-            program,
-            self.config,
-            self.jobs,
-            |summaries| NullnessDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                check_nullness(func, cfg, domain, analysis, &mut findings);
-            },
-        );
-        stats.absorb(&pa.stats);
-        let nullness_micros = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let pa = analyze_program_parallel::<InitDomain, _, _>(
-            program,
-            self.config,
-            self.jobs,
-            |_| InitDomain,
-            |func, cfg, domain, analysis| {
-                check_init(func, cfg, domain, analysis, &mut findings);
-            },
-        );
-        stats.absorb(&pa.stats);
-        let init_micros = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let pa = analyze_program_parallel::<OwnershipDomain, _, _>(
-            program,
-            self.config,
-            self.jobs,
-            |summaries| OwnershipDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                check_ownership(func, cfg, domain, analysis, &mut findings);
-                check_toctou(func, cfg, &mut findings);
-            },
-        );
-        stats.absorb(&pa.stats);
-        let ownership_micros = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let pa = analyze_program_parallel::<WidthDomain, _, _>(
-            program,
-            self.config,
-            self.jobs,
-            |summaries| WidthDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                check_width(func, cfg, domain, analysis, &mut findings);
-            },
-        );
-        stats.absorb(&pa.stats);
-        let width_micros = t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let pa = analyze_program_parallel::<ProvenanceDomain, _, _>(
-            program,
-            self.config,
-            self.jobs,
-            |summaries| ProvenanceDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                check_sinks(func, cfg, domain, analysis, &mut findings);
-            },
-        );
-        stats.absorb(&pa.stats);
-        let provenance_micros = t.elapsed().as_micros() as u64;
-
-        findings.sort_by_key(|f| (f.span.start, f.cwe.id()));
-        SemanticScan {
-            findings,
-            stats,
-            interval_micros,
-            nullness_micros,
-            init_micros,
-            ownership_micros,
-            width_micros,
-            provenance_micros,
-        }
+        };
+        run_passes(&mut driver);
+        let mut scan = driver.scan;
+        scan.findings.sort_by_key(|f| (f.span.start, f.cwe.id()));
+        scan
     }
 
     /// Parses and scans source text.
@@ -239,29 +236,30 @@ impl SemanticEngine {
         Ok(self.scan(&vulnman_lang::parse(source)?))
     }
 
-    /// Parses and scans through a content-addressed cache under the
-    /// `"absint-findings"` kind: warm runs skip the fixpoint entirely.
-    /// Results are identical to [`SemanticEngine::scan_source`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error if `source` is not valid mini-C.
-    pub fn scan_source_cached(
+    /// The findings of `program` (the parse of the source with
+    /// [`content_key`](AnalysisCache::content_key) `content_key`), memoized
+    /// in `cache` under the `"absint-findings"` kind: warm calls skip the
+    /// fixpoint entirely. Cold calls run [`SemanticEngine::scan_with_metrics`]
+    /// against `metrics`, so the `absint.*` instruments count only real
+    /// solver work. Every cached semantic scan goes through here, so the
+    /// workflow detector, the differential oracle and `vulnman lint` share
+    /// entries.
+    pub fn scan_program_cached(
         &self,
-        source: &str,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> Result<Vec<Finding>, vulnman_lang::ParseError> {
-        self.scan_source_cached_keyed(
-            vulnman_lang::AnalysisCache::content_key(source),
-            source,
-            cache,
-        )
+        content_key: u64,
+        program: &Program,
+        cache: &AnalysisCache,
+        metrics: &Registry,
+    ) -> Arc<Vec<Finding>> {
+        cache.analysis_keyed(content_key, "absint-findings", self.fingerprint(), || {
+            self.scan_with_metrics(program, metrics)
+        })
     }
 
-    /// [`SemanticEngine::scan_source_cached`] with a precomputed
-    /// [`content_key`](vulnman_lang::AnalysisCache::content_key), so callers
-    /// that consult several cache tables for the same sample hash its source
-    /// once. Results are identical to [`SemanticEngine::scan_source`].
+    /// Parses and scans `source`, whose
+    /// [`content_key`](AnalysisCache::content_key) the caller has already
+    /// computed, through `cache` (see [`SemanticEngine::scan_program_cached`]).
+    /// Results are identical to [`SemanticEngine::scan_source`].
     ///
     /// # Errors
     ///
@@ -270,154 +268,20 @@ impl SemanticEngine {
         &self,
         content_key: u64,
         source: &str,
-        cache: &vulnman_lang::AnalysisCache,
+        cache: &AnalysisCache,
     ) -> Result<Vec<Finding>, vulnman_lang::ParseError> {
         let program = cache.parse_keyed(content_key, source)?;
-        let findings =
-            cache.analysis_keyed(content_key, "absint-findings", self.fingerprint(), || {
-                self.scan(&program)
-            });
-        Ok((*findings).clone())
-    }
-
-    /// [`SemanticEngine::analyze`] through the per-stage incremental
-    /// tables of `cache`: CFGs, summaries, and findings of functions whose
-    /// inputs are unchanged since a previous call are reused instead of
-    /// re-solved (see [`vulnman_lang::incremental`]). Findings and solver
-    /// statistics are byte-identical to the batch path; the returned trace
-    /// says which functions were actually re-analyzed.
-    pub fn analyze_incremental(
-        &self,
-        program: &Program,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> IncrementalSemanticScan {
-        // The call graph and function fingerprints are pass-independent;
-        // build them once and share across all three domain passes.
-        self.analyze_incremental_in(&IncrementalContext::new(program), program, cache)
-    }
-
-    fn analyze_incremental_in(
-        &self,
-        ctx: &IncrementalContext,
-        program: &Program,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> IncrementalSemanticScan {
-        let base = self.fingerprint();
-        let mut findings = Vec::new();
-        let mut stats = SolverStats { converged: true, ..SolverStats::default() };
-        let mut trace = IncrementalTrace::default();
-
-        let run = analyze_program_incremental_in::<IntervalDomain, _, _, Vec<Finding>>(
-            ctx,
-            program,
-            cache,
-            self.config,
-            base ^ 0x01,
-            |summaries| IntervalDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                let mut out = Vec::new();
-                check_intervals(func, cfg, domain, analysis, &mut out);
-                out
-            },
-        );
-        stats.absorb(&run.analysis.stats);
-        trace.merge(&run.trace);
-        findings.extend(run.payloads.into_iter().flat_map(|(_, f)| f));
-
-        let run = analyze_program_incremental_in::<NullnessDomain, _, _, Vec<Finding>>(
-            ctx,
-            program,
-            cache,
-            self.config,
-            base ^ 0x02,
-            |summaries| NullnessDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                let mut out = Vec::new();
-                check_nullness(func, cfg, domain, analysis, &mut out);
-                out
-            },
-        );
-        stats.absorb(&run.analysis.stats);
-        trace.merge(&run.trace);
-        findings.extend(run.payloads.into_iter().flat_map(|(_, f)| f));
-
-        let run = analyze_program_incremental_in::<InitDomain, _, _, Vec<Finding>>(
-            ctx,
-            program,
-            cache,
-            self.config,
-            base ^ 0x03,
-            |_| InitDomain,
-            |func, cfg, domain, analysis| {
-                let mut out = Vec::new();
-                check_init(func, cfg, domain, analysis, &mut out);
-                out
-            },
-        );
-        stats.absorb(&run.analysis.stats);
-        trace.merge(&run.trace);
-        findings.extend(run.payloads.into_iter().flat_map(|(_, f)| f));
-
-        let run = analyze_program_incremental_in::<OwnershipDomain, _, _, Vec<Finding>>(
-            ctx,
-            program,
-            cache,
-            self.config,
-            base ^ 0x04,
-            |summaries| OwnershipDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                let mut out = Vec::new();
-                check_ownership(func, cfg, domain, analysis, &mut out);
-                check_toctou(func, cfg, &mut out);
-                out
-            },
-        );
-        stats.absorb(&run.analysis.stats);
-        trace.merge(&run.trace);
-        findings.extend(run.payloads.into_iter().flat_map(|(_, f)| f));
-
-        let run = analyze_program_incremental_in::<WidthDomain, _, _, Vec<Finding>>(
-            ctx,
-            program,
-            cache,
-            self.config,
-            base ^ 0x05,
-            |summaries| WidthDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                let mut out = Vec::new();
-                check_width(func, cfg, domain, analysis, &mut out);
-                out
-            },
-        );
-        stats.absorb(&run.analysis.stats);
-        trace.merge(&run.trace);
-        findings.extend(run.payloads.into_iter().flat_map(|(_, f)| f));
-
-        let run = analyze_program_incremental_in::<ProvenanceDomain, _, _, Vec<Finding>>(
-            ctx,
-            program,
-            cache,
-            self.config,
-            base ^ 0x06,
-            |summaries| ProvenanceDomain::with_summaries(summaries.clone()),
-            |func, cfg, domain, analysis| {
-                let mut out = Vec::new();
-                check_sinks(func, cfg, domain, analysis, &mut out);
-                out
-            },
-        );
-        stats.absorb(&run.analysis.stats);
-        trace.merge(&run.trace);
-        findings.extend(run.payloads.into_iter().flat_map(|(_, f)| f));
-
-        findings.sort_by_key(|f| (f.span.start, f.cwe.id()));
-        IncrementalSemanticScan { findings, stats, trace }
+        Ok((*self.scan_program_cached(content_key, &program, cache, &Registry::noop())).clone())
     }
 
     /// Parses (through the [`Stage::Lex`](vulnman_lang::Stage) and
     /// [`Stage::Parse`](vulnman_lang::Stage) tables) and scans `source`
-    /// incrementally. Results are identical to
-    /// [`SemanticEngine::scan_source`].
+    /// through the per-stage incremental tables of `cache`: CFGs,
+    /// summaries, and findings of functions whose inputs are unchanged
+    /// since a previous call are reused instead of re-solved (see
+    /// [`vulnman_lang::incremental`]). Findings and solver statistics are
+    /// identical to [`SemanticEngine::analyze`]; the returned trace says
+    /// which functions were actually re-analyzed.
     ///
     /// # Errors
     ///
@@ -427,9 +291,9 @@ impl SemanticEngine {
     pub fn scan_source_incremental(
         &self,
         source: &str,
-        cache: &vulnman_lang::AnalysisCache,
+        cache: &AnalysisCache,
     ) -> Result<IncrementalSemanticScan, vulnman_lang::ParseError> {
-        let key = vulnman_lang::AnalysisCache::content_key(source);
+        let key = AnalysisCache::content_key(source);
         let lexed = cache.stage(vulnman_lang::Stage::Lex, key, || {
             vulnman_lang::lexer::lex(source).map(|out| out.tokens.len())
         });
@@ -438,9 +302,26 @@ impl SemanticEngine {
         }
         let program = cache.parse_stage(key, source)?;
         // The source is in hand, so fingerprint functions from their raw
-        // source slices — far cheaper than rendering each AST.
+        // source slices — far cheaper than rendering each AST. The call
+        // graph and fingerprints are pass-independent, so every pass
+        // shares this one context.
         let ctx = IncrementalContext::with_source(&program, source);
-        Ok(self.analyze_incremental_in(&ctx, &program, cache))
+        let mut driver = IncrementalDriver {
+            ctx: &ctx,
+            program: &program,
+            cache,
+            config: self.config,
+            base: self.fingerprint(),
+            scan: IncrementalSemanticScan {
+                findings: Vec::new(),
+                stats: SolverStats { converged: true, ..SolverStats::default() },
+                trace: IncrementalTrace::default(),
+            },
+        };
+        run_passes(&mut driver);
+        let mut scan = driver.scan;
+        scan.findings.sort_by_key(|f| (f.span.start, f.cwe.id()));
+        Ok(scan)
     }
 
     /// Scans and reports solver telemetry through the pre-registered
@@ -453,12 +334,11 @@ impl SemanticEngine {
             metrics.counter("absint.solver.nonconverged").add(1);
         }
         metrics.counter("absint.findings").add(scan.findings.len() as u64);
-        metrics.histogram("absint.domain.interval_micros").observe(scan.interval_micros);
-        metrics.histogram("absint.domain.nullness_micros").observe(scan.nullness_micros);
-        metrics.histogram("absint.domain.init_micros").observe(scan.init_micros);
-        metrics.histogram("absint.domain.ownership_micros").observe(scan.ownership_micros);
-        metrics.histogram("absint.domain.width_micros").observe(scan.width_micros);
-        metrics.histogram("absint.domain.provenance_micros").observe(scan.provenance_micros);
+        if metrics.is_enabled() {
+            for (name, micros) in &scan.domain_micros {
+                metrics.histogram(&domain_histogram(name)).observe(*micros);
+            }
+        }
         scan.findings
     }
 }
@@ -496,6 +376,10 @@ impl StaticDetector for SemanticEngine {
         "semantic-suite"
     }
 
+    fn fingerprint(&self) -> u64 {
+        SemanticEngine::fingerprint(self)
+    }
+
     fn cwes(&self) -> Vec<Cwe> {
         vec![
             Cwe::OutOfBoundsWrite,
@@ -526,12 +410,11 @@ pub fn register_absint_instruments(metrics: &Registry) {
     metrics.counter("absint.solver.widenings");
     metrics.counter("absint.solver.nonconverged");
     metrics.counter("absint.findings");
-    metrics.histogram("absint.domain.interval_micros");
-    metrics.histogram("absint.domain.nullness_micros");
-    metrics.histogram("absint.domain.init_micros");
-    metrics.histogram("absint.domain.ownership_micros");
-    metrics.histogram("absint.domain.width_micros");
-    metrics.histogram("absint.domain.provenance_micros");
+    let mut names = PassNames(Vec::new());
+    run_passes(&mut names);
+    for name in names.0 {
+        metrics.histogram(&domain_histogram(name));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -912,6 +795,8 @@ fn freed_vars(inst: &CfgInst) -> BTreeSet<&str> {
     out
 }
 
+/// Ownership checker: double free (CWE-415) and use after free (CWE-416),
+/// then the TOCTOU checker (CWE-367) for the same function.
 fn check_ownership(
     func: &Function,
     cfg: &Cfg,
@@ -995,6 +880,9 @@ fn check_ownership(
             }
         }
     }
+    // The ownership pass also hosts the path-sensitive TOCTOU checker,
+    // which needs the CFG but no abstract state.
+    check_toctou(func, cfg, out);
 }
 
 // ---------------------------------------------------------------------------
@@ -1650,9 +1538,11 @@ mod tests {
         let engine = SemanticEngine::new();
         let src = "void f() { int a[4]; int i = 9; a[i] = 1; consume_table(a, 4); }";
         let cache = AnalysisCache::new();
-        let cold = engine.scan_source_cached(src, &cache).unwrap();
-        let warm = engine.scan_source_cached(src, &cache).unwrap();
+        let key = AnalysisCache::content_key(src);
+        let cold = engine.scan_source_cached_keyed(key, src, &cache).unwrap();
+        let warm = engine.scan_source_cached_keyed(key, src, &cache).unwrap();
         assert_eq!(cold, warm);
+        assert_eq!(cache.stats().hits, 2, "warm scan hits parse and findings");
         assert_eq!(cold, engine.scan_source(src).unwrap());
         assert!(!cold.is_empty());
         // Different solver configs must not share cache entries.

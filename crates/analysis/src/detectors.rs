@@ -6,10 +6,13 @@
 //! address certain vulnerabilities more effectively than others".
 
 use crate::finding::{Confidence, Finding};
+use std::sync::Arc;
 use vulnman_lang::ast::{
     BinOp, Expr, ExprKind, Function, LValue, Program, Stmt, StmtKind, Type, UnOp,
 };
+use vulnman_lang::hash::{fnv1a, fnv1a_seeded, FNV_OFFSET};
 use vulnman_lang::taint::{TaintAnalysis, TaintConfig};
+use vulnman_lang::AnalysisCache;
 use vulnman_synth::cwe::Cwe;
 
 /// A rule-based static analyzer.
@@ -23,6 +26,14 @@ pub trait StaticDetector: Send + Sync {
     fn cwes(&self) -> Vec<Cwe>;
     /// Scans a parsed program and returns findings.
     fn scan(&self, program: &Program) -> Vec<Finding>;
+    /// A 64-bit fingerprint of everything that determines this detector's
+    /// findings, folded into [`RuleEngine::fingerprint`]. The default hashes
+    /// the name, which suffices for detectors without configuration;
+    /// configurable detectors must fold their configuration in, or two
+    /// suites differing only in it would share cached findings.
+    fn fingerprint(&self) -> u64 {
+        fnv1a(self.name().as_bytes())
+    }
 }
 
 /// Runs every registered detector over a program.
@@ -116,46 +127,38 @@ impl RuleEngine {
         Ok(self.scan(&vulnman_lang::parse(source)?))
     }
 
-    /// A 64-bit fingerprint of the suite's configuration (its detector
-    /// lineup), used as the cache config key: two engines with the same
-    /// detectors share memoized findings, different lineups never collide.
+    /// A 64-bit fingerprint of the suite's configuration — its detector
+    /// lineup and each detector's own [`StaticDetector::fingerprint`] —
+    /// used as the cache config key: two engines with the same detectors
+    /// and configurations share memoized findings, any other pair never
+    /// collides.
     pub fn fingerprint(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
-        for name in self.detector_names() {
-            for b in name.bytes() {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
-            h = (h ^ 0x1f).wrapping_mul(PRIME); // name separator
-        }
-        h
+        self.detectors
+            .iter()
+            .fold(FNV_OFFSET, |h, d| fnv1a_seeded(h, &d.fingerprint().to_le_bytes()))
     }
 
-    /// Parses and scans source text through a content-addressed cache:
-    /// textually identical sources (duplicated corpus slices, repeated
-    /// scans) are parsed and analyzed once. Results are identical to
-    /// [`RuleEngine::scan_source`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the parse error if `source` is not valid mini-C.
-    pub fn scan_source_cached(
+    /// The findings of `program` (the parse of the source with
+    /// [`content_key`](AnalysisCache::content_key) `content_key`), memoized
+    /// in `cache` under the `"rule-findings"` kind: textually identical
+    /// sources (duplicated corpus slices, repeated scans) are analyzed
+    /// once. Every cached rule scan goes through here, so the workflow
+    /// detector, the serve front end and the differential oracle share
+    /// entries.
+    pub fn scan_program_cached(
         &self,
-        source: &str,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> Result<Vec<Finding>, vulnman_lang::ParseError> {
-        self.scan_source_cached_keyed(
-            vulnman_lang::AnalysisCache::content_key(source),
-            source,
-            cache,
-        )
+        content_key: u64,
+        program: &Program,
+        cache: &AnalysisCache,
+    ) -> Arc<Vec<Finding>> {
+        cache
+            .analysis_keyed(content_key, "rule-findings", self.fingerprint(), || self.scan(program))
     }
 
-    /// [`RuleEngine::scan_source_cached`] with a precomputed
-    /// [`content_key`](vulnman_lang::AnalysisCache::content_key), so callers
-    /// that consult several cache tables for the same sample hash its source
-    /// once. Results are identical to [`RuleEngine::scan_source`].
+    /// Parses and scans `source`, whose
+    /// [`content_key`](AnalysisCache::content_key) the caller has already
+    /// computed, through `cache` (see [`RuleEngine::scan_program_cached`]).
+    /// Results are identical to [`RuleEngine::scan_source`].
     ///
     /// # Errors
     ///
@@ -164,14 +167,10 @@ impl RuleEngine {
         &self,
         content_key: u64,
         source: &str,
-        cache: &vulnman_lang::AnalysisCache,
+        cache: &AnalysisCache,
     ) -> Result<Vec<Finding>, vulnman_lang::ParseError> {
         let program = cache.parse_keyed(content_key, source)?;
-        let findings =
-            cache.analysis_keyed(content_key, "rule-findings", self.fingerprint(), || {
-                self.scan(&program)
-            });
-        Ok((*findings).clone())
+        Ok((*self.scan_program_cached(content_key, &program, cache)).clone())
     }
 }
 
@@ -184,17 +183,21 @@ impl RuleEngine {
 #[derive(Debug)]
 pub struct TaintDetector {
     config: TaintConfig,
+    /// [`StaticDetector::fingerprint`], computed once: it hashes the whole
+    /// vocabulary and is consulted on every cached scan.
+    fingerprint: u64,
 }
 
 impl TaintDetector {
     /// Uses the workspace-default source/sink vocabulary.
     pub fn default_config() -> Self {
-        TaintDetector { config: TaintConfig::default_config() }
+        TaintDetector::with_config(TaintConfig::default_config())
     }
 
     /// Uses a custom taint vocabulary.
     pub fn with_config(config: TaintConfig) -> Self {
-        TaintDetector { config }
+        let fingerprint = fnv1a_seeded(fnv1a(b"taint-flow"), &config.fingerprint().to_le_bytes());
+        TaintDetector { config, fingerprint }
     }
 }
 
@@ -220,6 +223,10 @@ pub fn sink_kind_to_cwe(kind: &str) -> Option<Cwe> {
 impl StaticDetector for TaintDetector {
     fn name(&self) -> &'static str {
         "taint-flow"
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     fn cwes(&self) -> Vec<Cwe> {

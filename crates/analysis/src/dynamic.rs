@@ -22,18 +22,24 @@ use vulnman_synth::cwe::Cwe;
 #[derive(Debug)]
 pub struct DynamicSanitizer {
     config: InterpConfig,
+    /// [`StaticDetector::fingerprint`], computed once: it hashes the whole
+    /// configuration and is consulted on every cached scan.
+    fingerprint: u64,
 }
 
 impl DynamicSanitizer {
     /// Uses the default adversarial input model.
     pub fn new() -> Self {
-        DynamicSanitizer { config: InterpConfig::default() }
+        DynamicSanitizer::with_config(InterpConfig::default())
     }
 
     /// Uses a custom interpreter configuration (e.g. a team taint
     /// vocabulary, or a friendlier input model).
     pub fn with_config(config: InterpConfig) -> Self {
-        DynamicSanitizer { config }
+        let name = vulnman_lang::hash::fnv1a(b"dynamic-sanitizer");
+        let fingerprint =
+            vulnman_lang::hash::fnv1a_seeded(name, &config.fingerprint().to_le_bytes());
+        DynamicSanitizer { config, fingerprint }
     }
 
     /// Maps an observed runtime fault to the CWE class it evidences.
@@ -77,6 +83,10 @@ impl Default for DynamicSanitizer {
 impl StaticDetector for DynamicSanitizer {
     fn name(&self) -> &'static str {
         "dynamic-sanitizer"
+    }
+
+    fn fingerprint(&self) -> u64 {
+        self.fingerprint
     }
 
     fn cwes(&self) -> Vec<Cwe> {

@@ -503,10 +503,7 @@ impl DifferentialOracle {
             Ok(p) => p,
             Err(e) => return Verdicts { parse_error: Some(e.to_string()), ..Verdicts::default() },
         };
-        let findings =
-            cache.analysis_keyed(key, "rule-findings", self.statics.fingerprint(), || {
-                self.statics.scan(&program)
-            });
+        let findings = self.statics.scan_program_cached(key, &program, cache);
         let statics = findings.iter().map(|f| f.cwe).collect();
         let static_taint =
             findings.iter().filter(|f| f.detector == "taint-flow").map(|f| f.cwe).collect();
@@ -520,13 +517,9 @@ impl DifferentialOracle {
                 .filter_map(|f| sink_kind_to_cwe(&f.sink_kind))
                 .collect::<BTreeSet<Cwe>>()
         });
-        // Same cache kind and fingerprint as `SemanticEngine::
-        // scan_source_cached`, so oracle runs and `vulnman lint` share warm
-        // entries and a warm pass skips the fixpoint entirely.
+        // The oracle's own registry stays free of `absint.*` telemetry.
         let semantic_findings =
-            cache.analysis_keyed(key, "absint-findings", self.semantics.fingerprint(), || {
-                self.semantics.analyze(&program).findings
-            });
+            self.semantics.scan_program_cached(key, &program, cache, &Registry::noop());
         let absints = semantic_findings.iter().map(|f| f.cwe).collect();
         Verdicts {
             parse_error: None,

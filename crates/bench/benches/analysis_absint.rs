@@ -72,13 +72,17 @@ fn bench_cold_vs_warm_cache(c: &mut Criterion) {
         // A fresh cache every iteration: every scan pays the fixpoint.
         b.iter(|| {
             let cache = AnalysisCache::new();
-            engine.scan_source_cached(&source, &cache).expect("scan succeeds").len()
+            let key = AnalysisCache::content_key(&source);
+            engine.scan_source_cached_keyed(key, &source, &cache).expect("scan succeeds").len()
         })
     });
     group.bench_function("warm", |b| {
         let cache = AnalysisCache::new();
-        let _ = engine.scan_source_cached(&source, &cache).expect("prime");
-        b.iter(|| engine.scan_source_cached(&source, &cache).expect("scan succeeds").len())
+        let key = AnalysisCache::content_key(&source);
+        let _ = engine.scan_source_cached_keyed(key, &source, &cache).expect("prime");
+        b.iter(|| {
+            engine.scan_source_cached_keyed(key, &source, &cache).expect("scan succeeds").len()
+        })
     });
     group.finish();
 }

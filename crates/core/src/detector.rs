@@ -163,8 +163,8 @@ impl Detector for RuleBasedDetector {
     }
 
     fn assess_cached(&self, sample: &Sample, cache: &vulnman_lang::AnalysisCache) -> Assessment {
-        let findings = self.engine.scan_source_cached(&sample.source, cache).unwrap_or_default();
-        self.to_assessment(findings)
+        let key = vulnman_lang::AnalysisCache::content_key(&sample.source);
+        self.assess_cached_keyed(sample, cache, key)
     }
 
     fn assess_cached_keyed(
@@ -213,8 +213,8 @@ impl RuleBasedDetector {
 
 /// Adapter: the abstract-interpretation checker suite as a [`Detector`].
 ///
-/// Cache-aware (the `"absint-findings"` kind, shared with the differential
-/// oracle's absint view) and fault-aware: when the engine attaches an
+/// Cache-aware (through [`SemanticEngine::scan_program_cached`], shared with
+/// the differential oracle's absint view) and fault-aware: when the engine attaches an
 /// injector, every invocation consults the
 /// [`checker_call`](vulnman_faults::Site::CheckerCall) site keyed by sample
 /// id, so checker failures are deterministic per sample regardless of
@@ -246,27 +246,6 @@ impl SemanticDetector {
             detector: "semantic-suite".into(),
         }
     }
-
-    /// Same cache key as `SemanticEngine::scan_source_cached`, but cold
-    /// scans flow through `scan_with_metrics` so the `absint.*`
-    /// instruments see real solver work. Warm hits skip the fixpoint and
-    /// leave the counters untouched, which is exactly what they measure.
-    fn assess_cached_with_key(
-        &self,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
-        content_key: u64,
-    ) -> Assessment {
-        let program = match cache.parse_keyed(content_key, &sample.source) {
-            Ok(p) => p,
-            Err(_) => return self.to_assessment(Vec::new()),
-        };
-        let findings =
-            cache.analysis_keyed(content_key, "absint-findings", self.engine.fingerprint(), || {
-                self.engine.scan_with_metrics(&program, &self.metrics)
-            });
-        self.to_assessment((*findings).clone())
-    }
 }
 
 impl Detector for SemanticDetector {
@@ -281,16 +260,23 @@ impl Detector for SemanticDetector {
 
     fn assess_cached(&self, sample: &Sample, cache: &vulnman_lang::AnalysisCache) -> Assessment {
         let key = vulnman_lang::AnalysisCache::content_key(&sample.source);
-        self.assess_cached_with_key(sample, cache, key)
+        self.assess_cached_keyed(sample, cache, key)
     }
 
+    /// Cold scans report into the attached registry, so the `absint.*`
+    /// instruments see real solver work. Warm hits skip the fixpoint and
+    /// leave the counters untouched, which is exactly what they measure.
     fn assess_cached_keyed(
         &self,
         sample: &Sample,
         cache: &vulnman_lang::AnalysisCache,
         content_key: u64,
     ) -> Assessment {
-        self.assess_cached_with_key(sample, cache, content_key)
+        let Ok(program) = cache.parse_keyed(content_key, &sample.source) else {
+            return self.to_assessment(Vec::new());
+        };
+        let findings = self.engine.scan_program_cached(content_key, &program, cache, &self.metrics);
+        self.to_assessment((*findings).clone())
     }
 
     fn try_assess_cached(
@@ -311,14 +297,14 @@ impl Detector for SemanticDetector {
         match &self.faults {
             Some(inj) => inj
                 .run(Site::CheckerCall, sample.id, || {
-                    self.assess_cached_with_key(sample, cache, content_key)
+                    self.assess_cached_keyed(sample, cache, content_key)
                 })
                 .map(|attempted| attempted.value)
                 .map_err(|e| AssessError {
                     detector: "semantic-suite".into(),
                     reason: e.to_string(),
                 }),
-            None => Ok(self.assess_cached_with_key(sample, cache, content_key)),
+            None => Ok(self.assess_cached_keyed(sample, cache, content_key)),
         }
     }
 

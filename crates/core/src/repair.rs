@@ -19,6 +19,7 @@
 use serde::{Deserialize, Serialize};
 use vulnman_analysis::autofix::AutoFixer;
 use vulnman_analysis::detectors::RuleEngine;
+use vulnman_lang::hash::unit_f64;
 use vulnman_synth::repair_tasks::RepairTask;
 use vulnman_synth::tier::Tier;
 
@@ -212,7 +213,7 @@ impl RepairEngine for LlmSimRepairEngine {
     }
 
     fn propose(&self, task: &RepairTask) -> Option<String> {
-        let u = splitmix_unit(task.id ^ self.seed.wrapping_mul(0x5bd1e995));
+        let u = unit_f64(task.id ^ self.seed.wrapping_mul(0x5bd1e995));
         if u < self.tier_prob(task.tier) {
             // "Knows" the fix: reproduce the canonical remediation.
             if let Some(fix) = self.fixer.fix_source(&task.broken, task.cwe) {
@@ -250,14 +251,6 @@ fn cosmetic_edit(source: &str) -> Option<String> {
         ),
     );
     Some(vulnman_lang::print_program(&program))
-}
-
-fn splitmix_unit(mut x: u64) -> f64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^= x >> 31;
-    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

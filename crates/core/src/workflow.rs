@@ -20,6 +20,7 @@ use vulnman_analysis::finding::{Evidence, EvidenceFact, Finding};
 use vulnman_analysis::reachability::{CallGraph, Surface};
 use vulnman_faults::{site_key, FaultConfig, FaultInjector, FaultKind, Site};
 use vulnman_lang::clone::{CloneConfig, CloneIndex, TokenAlignment};
+use vulnman_lang::hash::unit_f64;
 use vulnman_lang::lexer::lex_ref;
 use vulnman_lang::{AnalysisCache, CacheOp, CacheStats};
 use vulnman_ml::eval::Metrics;
@@ -600,7 +601,7 @@ impl WorkflowEngine {
             .map(|(Assessed { flagged, surface, findings, degradation }, (sample, reviewed))| {
                 let catch = reviewed
                     && sample.label
-                    && hash_unit(sample.id ^ self.config.seed) < self.config.analyst_skill;
+                    && unit_f64(sample.id ^ self.config.seed) < self.config.analyst_skill;
                 CaseWork {
                     outcome: CaseOutcome {
                         sample_id: sample.id,
@@ -1243,7 +1244,7 @@ fn repair(
         }
         // AI suggestion: plausible for the remaining mechanical-ish classes,
         // but costs verification time and is rejected when wrong.
-        let suggestion_ok = hash_unit(sample.id.wrapping_mul(31) ^ config.seed) < 0.5;
+        let suggestion_ok = unit_f64(sample.id.wrapping_mul(31) ^ config.seed) < 0.5;
         if suggestion_ok {
             return (RepairChannel::AiSuggestion, None, config.suggestion_verify_minutes, 0.0);
         }
@@ -1255,15 +1256,6 @@ fn repair(
         );
     }
     (RepairChannel::Expert, None, 0.0, config.expert_fix_hours)
-}
-
-/// Maps a u64 to a deterministic uniform in `[0, 1)` (splitmix64 finalizer).
-fn hash_unit(mut x: u64) -> f64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^= x >> 31;
-    (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]
@@ -1678,13 +1670,6 @@ mod tests {
         assert_eq!(a, b, "recording must never change results");
         assert!(noop.metrics_snapshot().counters.is_empty());
         assert_eq!(noop.cache_stats(), CacheStats::default());
-    }
-
-    #[test]
-    fn hash_unit_is_uniformish() {
-        let n = 10_000;
-        let mean: f64 = (0..n).map(hash_unit).sum::<f64>() / n as f64;
-        assert!((mean - 0.5).abs() < 0.02, "{mean}");
     }
 
     use vulnman_faults::{FaultMix, FaultPlan};

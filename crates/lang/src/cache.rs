@@ -329,11 +329,10 @@ impl AnalysisCache {
         // runs (including newlines) are buffered until the next
         // non-whitespace byte — so trailing whitespace on each line and
         // trailing blank lines at EOF never reach the hash.
-        const OFFSET: u64 = 0xcbf29ce484222325;
-        const PRIME: u64 = 0x100000001b3;
-        let mut h = OFFSET;
+        use crate::hash::{FNV_OFFSET, FNV_PRIME};
+        let mut h = FNV_OFFSET;
         let mut eat = |b: u8| {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
+            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
         };
         let mut pending_ws = 0usize;
         let mut pending_nl = 0usize;

@@ -36,31 +36,11 @@
 //! order), so `jobs` never changes a single byte of the output.
 
 use crate::error::ParseResult;
+use crate::hash::{fnv1a, fnv1a_seeded, mix64, FNV_OFFSET};
 use crate::lexer::{lex_ref, LexOutput};
 use crate::span::Span;
 use crate::token::TokenKind;
 use std::collections::BTreeMap;
-
-/// splitmix64 finalizer: the same cheap, well-mixed permutation used by the
-/// workflow engine's deterministic per-sample draws.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// FNV-1a over raw bytes, the workspace's standard content hash.
-fn fnv_bytes(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Parameters of the clone detector. The defaults are calibrated for the
 /// synthetic corpus (see DESIGN.md §14): `shingle_k = 4` is long enough
@@ -107,11 +87,11 @@ impl CloneConfig {
 /// [`TokenKind::describe`] label.
 fn token_hash<S: AsRef<str>>(kind: &TokenKind<S>) -> u64 {
     match kind {
-        TokenKind::Ident(_) => fnv_bytes(FNV_OFFSET, b"<id>"),
-        TokenKind::Int(v) => fnv_bytes(FNV_OFFSET, b"<int>") ^ mix64(*v as u64),
-        TokenKind::Char(c) => fnv_bytes(FNV_OFFSET, b"<char>") ^ mix64(u64::from(*c as u32)),
-        TokenKind::Str(s) => fnv_bytes(fnv_bytes(FNV_OFFSET, b"<str>"), s.as_ref().as_bytes()),
-        other => fnv_bytes(FNV_OFFSET, other.describe().as_bytes()),
+        TokenKind::Ident(_) => fnv1a(b"<id>"),
+        TokenKind::Int(v) => fnv1a(b"<int>") ^ mix64(*v as u64),
+        TokenKind::Char(c) => fnv1a(b"<char>") ^ mix64(u64::from(*c as u32)),
+        TokenKind::Str(s) => fnv1a_seeded(fnv1a(b"<str>"), s.as_ref().as_bytes()),
+        other => fnv1a(other.describe().as_bytes()),
     }
 }
 
@@ -140,13 +120,10 @@ pub fn shingles(source: &str, k: usize) -> ParseResult<Vec<u64>> {
     Ok(out)
 }
 
-/// Folds one shingle window into a single hash, order-sensitively.
+/// Folds a run of hashes (a shingle window, an LSH band) into one hash,
+/// order-sensitively: FNV-1a over their little-endian bytes.
 fn fold_window(window: &[u64]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &t in window {
-        h = fnv_bytes(h, &t.to_le_bytes());
-    }
-    h
+    window.iter().fold(FNV_OFFSET, |h, t| fnv1a_seeded(h, &t.to_le_bytes()))
 }
 
 /// Exact Jaccard similarity of two sorted, deduplicated shingle sets.
@@ -326,13 +303,10 @@ impl CloneIndex {
 
     /// The `(band, band-hash)` bucket keys of a signature.
     fn band_keys<'a>(&'a self, signature: &'a [u64]) -> impl Iterator<Item = (u32, u64)> + 'a {
-        signature.chunks(self.config.rows).enumerate().map(|(band, chunk)| {
-            let mut h = FNV_OFFSET;
-            for &v in chunk {
-                h = fnv_bytes(h, &v.to_le_bytes());
-            }
-            (band as u32, h)
-        })
+        signature
+            .chunks(self.config.rows)
+            .enumerate()
+            .map(|(band, chunk)| (band as u32, fold_window(chunk)))
     }
 
     /// Ids of indexed units sharing at least one LSH band with `source`,

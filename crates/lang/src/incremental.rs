@@ -1,7 +1,7 @@
 //! Per-function incremental recompute for the abstract-interpretation
 //! pipeline.
 //!
-//! The batch drivers in [`crate::absint::callgraph`] re-solve every function
+//! The batch driver in [`crate::absint::callgraph`] re-solves every function
 //! of a program on every call. A long-running service sees the *same*
 //! program resubmitted with one function edited, over and over — re-running
 //! the whole fixpoint is almost entirely wasted work. This module keys each
@@ -9,11 +9,10 @@
 //! so a resubmission re-runs only the stages whose input hashes changed:
 //!
 //! * **CFG** ([`Stage::Cfg`]) — keyed per function by the function's
-//!   [fingerprint](fingerprint_function): a hash of its full AST `Debug`
-//!   rendering, which covers the name, parameters, types, body, doc
-//!   comments, *and every source span*. Two functions share a CFG entry only
-//!   when their ASTs — locations included — are identical, which is what
-//!   makes reusing span-bearing results sound.
+//!   [fingerprint](fingerprint_function_source): a hash of its source slice
+//!   and absolute position. Two functions share a CFG entry only when their
+//!   ASTs — locations included — are identical, which is what makes reusing
+//!   span-bearing results sound.
 //! * **Summary** ([`Stage::Summary`]) and **findings**
 //!   ([`Stage::Findings`]) — keyed per call-graph strongly connected
 //!   component by the pass tag, the fingerprints of every member, and the
@@ -29,16 +28,18 @@
 //!
 //! ## Equivalence argument
 //!
-//! The driver mirrors [`analyze_program_parallel`]'s component walk: SCCs
-//! are processed in bottom-up topological order, members of a cycle feed
-//! each other through a local overlay table in the sequential driver's
-//! relative order, and results are delivered in the exact sequential
-//! post-order. A function's solved fixpoint depends only on its own AST and
-//! the summaries of its defined callees (the workspace-wide `make_domain`
-//! contract documented on [`analyze_program_parallel`]), which is precisely
-//! what the stage keys hash — so a stage hit returns byte-identical values
-//! to the recompute it skipped, and [`SolverStats`] fold commutatively, so
-//! the aggregate statistics match the batch drivers too.
+//! The driver walks the call graph's strongly connected components in
+//! bottom-up topological order. Members of a cycle feed each other through
+//! a local overlay table in [`analyze_program`]'s relative order, and
+//! payloads are delivered in its exact post-order. A function's solved
+//! fixpoint depends only on its own AST and the summaries of its defined
+//! callees (every domain in the workspace consults summaries only at call
+//! sites), which is precisely what the stage keys hash — so a stage hit
+//! returns byte-identical values to the recompute it skipped, and
+//! [`SolverStats`] fold commutatively, so the aggregate statistics match
+//! the batch driver too.
+//!
+//! [`analyze_program`]: crate::absint::analyze_program
 
 use crate::absint::callgraph::{return_summary, CallGraph, ProgramAnalysis};
 use crate::absint::domain::Domain;
@@ -46,45 +47,10 @@ use crate::absint::solver::{DomainAnalysis, Solver, SolverConfig, SolverStats};
 use crate::ast::{Function, Program};
 use crate::cache::{AnalysisCache, Stage};
 use crate::cfg::Cfg;
+use crate::hash::{fnv1a, fnv1a_seeded, mix64, Fnv1a, FNV_OFFSET};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-/// FNV-1a over a byte slice.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// A [`std::fmt::Write`] sink that FNV-1a-hashes everything written to it.
-/// Hashing `Debug` output as it streams produces the same value as
-/// formatting into a `String` first, without the allocation — fingerprints
-/// sit on the per-request hot path of the serving loop.
-struct FnvWriter(u64);
-
-impl std::fmt::Write for FnvWriter {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-        Ok(())
-    }
-}
-
-/// splitmix64 finalizer, used to separate the per-stage key spaces derived
-/// from one base hash.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
 
 /// Content fingerprint of one function: FNV-1a over the AST's `Debug`
 /// rendering, which includes every identifier, literal, type, doc comment,
@@ -93,7 +59,7 @@ fn mix64(mut x: u64) -> u64 {
 /// analysis result — spans and line numbers included — is interchangeable
 /// between them.
 pub fn fingerprint_function(func: &Function) -> u64 {
-    let mut w = FnvWriter(FNV_OFFSET);
+    let mut w = Fnv1a::default();
     let _ = write!(w, "{func:?}");
     w.0
 }
@@ -102,7 +68,7 @@ pub fn fingerprint_function(func: &Function) -> u64 {
 /// [`analyze_program_incremental_in`]: the call graph, its bottom-up
 /// order, and every function's fingerprint. All three are pure functions
 /// of the program, so a caller running several domain passes over the same
-/// AST (the semantic engine runs three) builds this once per request
+/// AST (the semantic engine runs six) builds this once per request
 /// instead of once per pass — on the serving hot path that framing cost,
 /// not the fixpoint, dominates an incremental hit.
 pub struct IncrementalContext {
@@ -113,36 +79,24 @@ pub struct IncrementalContext {
 }
 
 impl IncrementalContext {
-    /// Builds the context for `program`. The context must only be used
-    /// with the exact program it was built from.
-    pub fn new(program: &Program) -> IncrementalContext {
-        Self::build(program, fingerprint_function)
-    }
-
-    /// Builds the context for `program` using the *source slice*
-    /// fingerprint ([`fingerprint_function_source`]) instead of the AST
-    /// `Debug` fingerprint. When the caller still has the source text in
-    /// hand (the serving loop always does), hashing each function's raw
-    /// bytes skips re-rendering the whole AST per request — the single
-    /// largest fixed cost of an incremental resubmission. `program` must
-    /// be the parse of exactly this `source`.
+    /// Builds the context for `program`, fingerprinting functions by their
+    /// *source slice* ([`fingerprint_function_source`]) rather than their
+    /// AST `Debug` rendering: the caller (the serving loop) has the source
+    /// in hand, and hashing each function's raw bytes skips re-rendering
+    /// the whole AST per request — the single largest fixed cost of an
+    /// incremental resubmission. `program` must be the parse of exactly
+    /// this `source`, and the context must only be used with it.
     pub fn with_source(program: &Program, source: &str) -> IncrementalContext {
-        Self::build(program, |f| fingerprint_function_source(source, f))
-    }
-
-    fn build(program: &Program, fp: impl Fn(&Function) -> u64) -> IncrementalContext {
         let graph = CallGraph::build(program);
         let order: Vec<String> = graph.bottom_up().iter().map(|n| n.to_string()).collect();
         let pos: BTreeMap<String, usize> =
             order.iter().enumerate().map(|(i, n)| (n.clone(), i)).collect();
-        let fps: BTreeMap<String, u64> =
-            program.functions.iter().map(|f| (f.name.to_string(), fp(f))).collect();
+        let fps: BTreeMap<String, u64> = program
+            .functions
+            .iter()
+            .map(|f| (f.name.to_string(), fingerprint_function_source(source, f)))
+            .collect();
         IncrementalContext { graph, order, pos, fps }
-    }
-
-    /// The fingerprint of the named function, if defined.
-    pub fn fingerprint_of(&self, name: &str) -> Option<u64> {
-        self.fps.get(name).copied()
     }
 }
 
@@ -163,18 +117,14 @@ pub fn fingerprint_function_source(source: &str, func: &Function) -> u64 {
         // always sound.
         return fingerprint_function(func);
     };
-    let mut h = FNV_OFFSET;
-    for bytes in [
+    [
         &(span.start as u64).to_le_bytes()[..],
         &(span.line as u64).to_le_bytes()[..],
         &(span.col as u64).to_le_bytes()[..],
         slice,
-    ] {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-        }
-    }
-    h
+    ]
+    .into_iter()
+    .fold(FNV_OFFSET, fnv1a_seeded)
 }
 
 /// Which functions an incremental pass actually re-solved, and which it
@@ -208,7 +158,7 @@ impl IncrementalTrace {
 }
 
 /// Result of one incremental pass: the interprocedural analysis (summaries
-/// plus aggregated solver statistics, byte-identical to the batch drivers),
+/// plus aggregated solver statistics, byte-identical to the batch driver),
 /// the per-function checker payloads in exact sequential post-order, and
 /// the recompute trace.
 #[derive(Debug)]
@@ -248,30 +198,12 @@ struct FindingsArtifact<T>(Vec<(String, T)>);
 /// [`analyze_program`] visit closure sees and returns the payload to cache
 /// (for semantic checkers, the function's findings).
 ///
+/// `ctx` carries the call graph and function fingerprints, which are the
+/// same for every pass over a program, so several passes share one
+/// call-graph construction and one fingerprinting sweep. It must have been
+/// built from this exact `program`.
+///
 /// [`analyze_program`]: crate::absint::analyze_program
-pub fn analyze_program_incremental<D, M, C, T>(
-    program: &Program,
-    cache: &AnalysisCache,
-    config: SolverConfig,
-    pass_tag: u64,
-    make_domain: M,
-    check: C,
-) -> IncrementalRun<D::Value, T>
-where
-    D: Domain,
-    D::Value: Clone + std::fmt::Debug + Send + Sync + 'static,
-    M: Fn(&BTreeMap<String, D::Value>) -> D,
-    C: Fn(&Function, &Cfg, &D, &DomainAnalysis<D::Value>) -> T,
-    T: Clone + Send + Sync + 'static,
-{
-    let ctx = IncrementalContext::new(program);
-    analyze_program_incremental_in(&ctx, program, cache, config, pass_tag, make_domain, check)
-}
-
-/// [`analyze_program_incremental`] with a caller-supplied
-/// [`IncrementalContext`], so several passes over the same program share
-/// one call-graph construction and one fingerprinting sweep. `ctx` must
-/// have been built from this exact `program`.
 pub fn analyze_program_incremental_in<D, M, C, T>(
     ctx: &IncrementalContext,
     program: &Program,
@@ -325,9 +257,9 @@ where
         }
         for callee in externals {
             let summary = &completed[callee];
-            let mut w = FnvWriter(FNV_OFFSET);
+            let mut w = Fnv1a::default();
             let _ = write!(w, "{summary:?}");
-            h = mix64(h ^ fnv(callee.as_bytes()));
+            h = mix64(h ^ fnv1a(callee.as_bytes()));
             h = mix64(h ^ w.0);
         }
         let summary_key = mix64(h ^ 0x5e55);
@@ -349,7 +281,8 @@ where
         }
 
         // Miss on either table: solve the component. The overlay table
-        // mirrors `analyze_program_parallel`'s cycle handling.
+        // reproduces the partial summary table `analyze_program` gives
+        // cycle members.
         let mut local: Option<BTreeMap<String, D::Value>> = None;
         let mut art_members: Vec<(String, D::Value)> = Vec::with_capacity(members.len());
         let mut art_payloads: Vec<(String, T)> = Vec::with_capacity(members.len());
@@ -397,7 +330,7 @@ where
 
     // Deliver payloads in the exact sequential post-order, which is what
     // keeps downstream concatenation (and the stable findings sort on top
-    // of it) byte-identical to the batch drivers.
+    // of it) byte-identical to the batch driver.
     let payloads: Vec<(String, T)> = order
         .iter()
         .map(|n| (n.clone(), payload_map.remove(n.as_str()).expect("every function has a payload")))
@@ -418,12 +351,11 @@ mod tests {
                         int mid(int x) { return leaf() + even(x); }\n\
                         int top_fn(int x) { int d = mid(x); return d / leaf(); }";
 
-    fn run_incremental(
-        program: &Program,
-        cache: &AnalysisCache,
-    ) -> IncrementalRun<Interval, String> {
-        analyze_program_incremental::<IntervalDomain, _, _, String>(
-            program,
+    fn run_incremental(source: &str, cache: &AnalysisCache) -> IncrementalRun<Interval, String> {
+        let program = parse(source).unwrap();
+        analyze_program_incremental_in::<IntervalDomain, _, _, String>(
+            &IncrementalContext::with_source(&program, source),
+            &program,
             cache,
             SolverConfig::default(),
             7,
@@ -444,7 +376,7 @@ mod tests {
         );
         let cache = AnalysisCache::new();
         for round in 0..3 {
-            let inc = run_incremental(&p, &cache);
+            let inc = run_incremental(PROG, &cache);
             let inc_payloads: Vec<String> = inc.payloads.iter().map(|(_, t)| t.clone()).collect();
             assert_eq!(inc_payloads, seq_payloads, "round {round}");
             assert_eq!(format!("{:?}", inc.analysis.summaries), format!("{:?}", seq.summaries));
@@ -460,11 +392,10 @@ mod tests {
 
     #[test]
     fn editing_one_leaf_function_reanalyzes_only_the_affected_cone() {
-        let p = parse(PROG).unwrap();
         let cache = AnalysisCache::new();
-        run_incremental(&p, &cache);
+        run_incremental(PROG, &cache);
         // Change `top_fn` (a root: nothing calls it) — only it re-solves.
-        let edited = parse(&PROG.replace("return d / leaf();", "return d + leaf();")).unwrap();
+        let edited = PROG.replace("return d / leaf();", "return d + leaf();");
         let inc = run_incremental(&edited, &cache);
         assert_eq!(inc.trace.solved, vec!["top_fn".to_string()]);
         assert_eq!(inc.trace.reused.len(), 4);
@@ -489,12 +420,9 @@ mod tests {
         // `leaf` changes body but keeps the same summary value [2, 2]; its
         // callers' component keys hash the summary, not the text, so only
         // `leaf` itself re-solves.
-        let p = parse(CUT).unwrap();
         let cache = AnalysisCache::new();
-        run_incremental(&p, &cache);
-        let edited =
-            parse(&CUT.replace("int leaf() { return 2; }", "int leaf() { int a = 2; return a; }"))
-                .unwrap();
+        run_incremental(CUT, &cache);
+        let edited = CUT.replace("int leaf() { return 2; }", "int leaf() { int a = 2; return a; }");
         let inc = run_incremental(&edited, &cache);
         assert_eq!(inc.trace.solved, vec!["leaf".to_string()], "early cutoff failed");
         assert_eq!(inc.trace.reused.len(), 3);
@@ -502,14 +430,12 @@ mod tests {
 
     #[test]
     fn changed_summary_invalidates_transitive_callers() {
-        let p = parse(CUT).unwrap();
         let cache = AnalysisCache::new();
-        run_incremental(&p, &cache);
+        run_incremental(CUT, &cache);
         // `leaf` now summarises to [3, 3]: `mid`'s summary becomes [4, 4],
         // so `top_fn` re-solves too; `side` has no path to `leaf` and is
         // reused.
-        let edited =
-            parse(&CUT.replace("int leaf() { return 2; }", "int leaf() { return 3; }")).unwrap();
+        let edited = CUT.replace("int leaf() { return 2; }", "int leaf() { return 3; }");
         let inc = run_incremental(&edited, &cache);
         let solved: BTreeSet<&str> = inc.trace.solved.iter().map(String::as_str).collect();
         assert_eq!(solved, BTreeSet::from(["leaf", "mid", "top_fn"]));

@@ -20,29 +20,7 @@ use std::sync::Arc;
 /// short program identifiers from a trusted parser — SipHash's
 /// flooding resistance buys nothing there, while its per-hash setup cost
 /// dominates for sub-16-byte strings.
-#[derive(Debug, Clone)]
-pub struct Fnv64 {
-    state: u64,
-}
-
-impl Default for Fnv64 {
-    fn default() -> Self {
-        Fnv64 { state: 0xcbf2_9ce4_8422_2325 }
-    }
-}
-
-impl Hasher for Fnv64 {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.state ^= u64::from(b);
-            self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
+pub type Fnv64 = crate::hash::Fnv1a;
 
 /// `BuildHasher` plugging [`Fnv64`] into `HashMap`/`HashSet`.
 pub type FnvBuildHasher = BuildHasherDefault<Fnv64>;

@@ -13,6 +13,7 @@ use crate::intern::Symbol;
 use crate::span::Span;
 use crate::taint::TaintConfig;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// What went wrong (or was observed) at runtime.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -62,6 +63,24 @@ pub struct InterpConfig {
     pub step_budget: usize,
     /// Maximum call depth.
     pub max_call_depth: usize,
+}
+
+impl InterpConfig {
+    /// A 64-bit fingerprint of the configuration: the taint vocabulary's
+    /// [fingerprint](TaintConfig::fingerprint) plus every input-model knob.
+    pub fn fingerprint(&self) -> u64 {
+        let knobs = (
+            self.attacker_string_len,
+            self.attacker_int,
+            self.entry_int,
+            self.lookups_fail,
+            self.step_budget,
+            self.max_call_depth,
+        );
+        let mut h = crate::hash::Fnv1a(self.taint.fingerprint());
+        let _ = write!(h, "{knobs:?}");
+        h.0
+    }
 }
 
 impl Default for InterpConfig {

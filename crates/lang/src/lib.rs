@@ -39,6 +39,7 @@ pub mod cfg;
 pub mod clone;
 pub mod dataflow;
 pub mod error;
+pub mod hash;
 pub mod incremental;
 pub mod intern;
 pub mod interp;
@@ -55,8 +56,8 @@ pub use cache::{AnalysisCache, CacheFaultHook, CacheOp, CacheStats, Stage, STAGE
 pub use clone::{CloneConfig, CloneIndex, MinHasher, TokenAlignment, UnionFind};
 pub use error::{ParseError, ParseResult};
 pub use incremental::{
-    analyze_program_incremental, analyze_program_incremental_in, fingerprint_function,
-    IncrementalContext, IncrementalRun, IncrementalTrace,
+    analyze_program_incremental_in, fingerprint_function, IncrementalContext, IncrementalRun,
+    IncrementalTrace,
 };
 pub use intern::{Interner, Symbol};
 pub use parser::parse;

@@ -23,9 +23,11 @@
 
 use crate::ast::{Expr, ExprKind, Function, LValue, Program};
 use crate::cfg::{Cfg, CfgInst};
+use crate::hash::Fnv1a;
 use crate::intern::FnvBuildHasher;
 use crate::span::Span;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::fmt::Write as _;
 
 /// Function-summary table keyed by function name.
 pub type SummaryMap = HashMap<String, FnSummary, FnvBuildHasher>;
@@ -170,6 +172,21 @@ impl TaintConfig {
     /// Iterates over all registered source names.
     pub fn source_names(&self) -> impl Iterator<Item = &str> {
         self.sources.iter().map(String::as_str)
+    }
+
+    /// A 64-bit fingerprint of the whole vocabulary, independent of
+    /// registration order: equal configurations hash equal, and adding or
+    /// removing a source, sink (with its positions and kind) or sanitizer
+    /// changes it. Detectors built on a configuration use it as their
+    /// cache config key.
+    pub fn fingerprint(&self) -> u64 {
+        let sources: BTreeSet<&String> = self.sources.iter().collect();
+        let sinks: BTreeMap<&String, (&Vec<usize>, &str)> =
+            self.sinks.iter().map(|(name, pos)| (name, (pos, self.sink_kind(name)))).collect();
+        let sanitizers: BTreeSet<&String> = self.sanitizers.iter().collect();
+        let mut h = Fnv1a::default();
+        let _ = write!(h, "{sources:?}{sinks:?}{sanitizers:?}");
+        h.0
     }
 }
 

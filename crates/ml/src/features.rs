@@ -26,12 +26,7 @@ pub trait FeatureExtractor: Send + Sync {
 
 fn hash_str(s: &str) -> u64 {
     // FNV-1a: stable across runs and platforms, unlike `DefaultHasher`.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    vulnman_lang::hash::fnv1a(s.as_bytes())
 }
 
 fn l2_normalize(v: &mut [f64]) {

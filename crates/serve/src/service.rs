@@ -20,19 +20,10 @@ use vulnman_analysis::{
 use vulnman_core::DegradationSummary;
 use vulnman_faults::{site_key, FaultConfig, FaultKind, FaultPlan, Site};
 use vulnman_lang::clone::{CloneConfig, CloneIndex};
+use vulnman_lang::hash::fnv1a;
 use vulnman_lang::AnalysisCache;
 use vulnman_obs::Registry;
 use vulnman_synth::{Cwe, Sample, Tier};
-
-/// FNV-1a, for hashing the request kind into the fault key.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
 
 /// Unit bound on the service's [`AnalysisCache`] (parse/analysis tables
 /// hold this many entries; the per-function stage table scales by the
@@ -103,7 +94,11 @@ impl ServiceCore {
     /// function of the request coordinates, so the answer is identical for
     /// any worker count (used by tests to precompute expected statuses).
     pub fn degrades(&self, id: u64, kind: &str) -> bool {
-        self.plan.exhausts(Site::ServeRequest, site_key(id, fnv(kind.as_bytes())), self.max_retries)
+        self.plan.exhausts(
+            Site::ServeRequest,
+            site_key(id, fnv1a(kind.as_bytes())),
+            self.max_retries,
+        )
     }
 
     /// Handles one admitted request: fault walk first, then the operation.
@@ -132,7 +127,7 @@ impl ServiceCore {
         if self.plan.rate() <= 0.0 {
             return false;
         }
-        let key = site_key(req.id, fnv(req.kind.as_bytes()));
+        let key = site_key(req.id, fnv1a(req.kind.as_bytes()));
         let mut led = ledger.lock().unwrap_or_else(|e| e.into_inner());
         for attempt in 0..=self.max_retries {
             match self.plan.decide(Site::ServeRequest, key, attempt) {

@@ -1,7 +1,7 @@
 //! Equivalence suites for the raw-speed hot paths.
 //!
 //! The performance work (zero-copy lexing, interned ASTs, run-scoped
-//! scratch caches, SCC-parallel abstract interpretation) is only
+//! scratch caches) is only
 //! admissible if it is observationally invisible: same tokens, same
 //! findings, same report bytes. These tests pin that contract on the
 //! full synthetic corpus — every CWE family plus the mutation
@@ -9,7 +9,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use vulnman::analysis::checkers::SemanticEngine;
 use vulnman::lang::lexer::{lex, lex_ref};
 use vulnman::lang::token::TokenKind;
 use vulnman::prelude::*;
@@ -95,40 +94,8 @@ fn interned_parse_is_deterministic_and_printer_is_fixpoint() {
     }
 }
 
-/// The SCC-parallel abstract-interpretation driver must be invisible:
-/// identical findings and solver statistics at every worker count,
-/// including on recursive programs where cycle members share summaries.
-#[test]
-fn parallel_absint_matches_sequential_on_corpus() {
-    let ds = corpus();
-    let seq = SemanticEngine::new();
-    let par = SemanticEngine::new().with_jobs(4);
-    let mut checked = 0usize;
-    for s in ds.iter() {
-        let program = parse(&s.source).expect("corpus sample must parse");
-        let a = seq.analyze(&program);
-        let b = par.analyze(&program);
-        assert_eq!(a.findings, b.findings, "findings diverge on {}", s.id);
-        assert_eq!(a.stats, b.stats, "solver stats diverge on {}", s.id);
-        checked += 1;
-    }
-    assert!(checked >= 200, "corpus unexpectedly small: {checked}");
-
-    // A recursion clique big enough to clear the parallel driver's
-    // small-program gate.
-    let rec = "int leaf() { return 2; }\n\
-               int even(int n) { if (n) { return odd(n - 1); } return 1; }\n\
-               int odd(int n) { if (n) { return even(n - 1); } return 0; }\n\
-               int top_fn(int x) { int d = even(x) + leaf(); return 10 / d; }";
-    let program = parse(rec).unwrap();
-    let a = seq.analyze(&program);
-    let b = par.analyze(&program);
-    assert_eq!(a.findings, b.findings);
-    assert_eq!(a.stats, b.stats);
-}
-
 /// Full-pipeline byte identity with the semantic detector registered, so
-/// the parallel absint path runs inside the workflow: jobs {1,4} x cache
+/// the absint passes run inside the sharded workflow: jobs {1,4} x cache
 /// {on,off} must all serialize to the same report.
 #[test]
 fn report_bytes_identical_with_parallel_semantic_detector() {
@@ -136,9 +103,7 @@ fn report_bytes_identical_with_parallel_semantic_detector() {
     let run = |jobs: usize, cache: bool| {
         let mut registry = DetectorRegistry::new();
         registry.register(Box::new(RuleBasedDetector::standard()));
-        registry.register(Box::new(SemanticDetector::new(
-            SemanticEngine::new().with_jobs(jobs.max(2)),
-        )));
+        registry.register(Box::new(SemanticDetector::standard()));
         let config = WorkflowConfig { jobs, cache, ..Default::default() };
         let engine = WorkflowEngine::new(registry, config);
         serde_json::to_string(&engine.process(ds.samples())).expect("report serializes")

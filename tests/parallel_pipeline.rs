@@ -98,3 +98,110 @@ fn analysis_cache_is_content_addressed() {
     assert_eq!(*a, *b);
     assert_eq!(cache.stats().hits, 1);
 }
+
+/// A rule suite with the stock lineup whose taint detector knows one team
+/// sanitizer: same detector names as `RuleEngine::default_suite`, different
+/// findings.
+fn team_suite() -> RuleEngine {
+    use vulnman::analysis::detectors::{
+        BoundsDetector, CredentialDetector, NullDerefDetector, OverflowDetector, RaceDetector,
+        TaintDetector, UseAfterFreeDetector,
+    };
+    let mut taint = TaintConfig::default_config();
+    taint.add_sanitizer("team_clean");
+    let mut suite = RuleEngine::new();
+    suite.register(Box::new(TaintDetector::with_config(taint)));
+    suite.register(Box::new(BoundsDetector));
+    suite.register(Box::new(UseAfterFreeDetector));
+    suite.register(Box::new(OverflowDetector));
+    suite.register(Box::new(NullDerefDetector));
+    suite.register(Box::new(CredentialDetector));
+    suite.register(Box::new(RaceDetector));
+    suite
+}
+
+const TEAM_SANITIZED: &str =
+    "void f() { char* id = http_param(\"id\"); char* c = team_clean(id); exec_query(c); }";
+
+fn sample_of(source: &str) -> Sample {
+    let mut s = DatasetBuilder::new(1).vulnerable_count(1).build().samples()[0].clone();
+    s.source = source.to_string();
+    s
+}
+
+/// Two rule suites that differ only in a detector's configuration must not
+/// share cached findings: the team suite sees its sanitizer even when the
+/// stock suite scanned the same source through the same cache first.
+#[test]
+fn rule_suites_differing_only_in_taint_config_do_not_share_cached_findings() {
+    let sample = sample_of(TEAM_SANITIZED);
+    let stock = RuleBasedDetector::standard();
+    let team = RuleBasedDetector::new("team-suite", team_suite());
+    assert_eq!(stock.assess(&sample).findings.len(), 1, "stock suite flags the flow");
+    assert!(team.assess(&sample).findings.is_empty(), "team sanitizer clears the flow");
+
+    let cache = AnalysisCache::new();
+    let key = AnalysisCache::content_key(&sample.source);
+    assert_eq!(stock.assess_cached_keyed(&sample, &cache, key).findings.len(), 1);
+    assert!(team.assess_cached_keyed(&sample, &cache, key).findings.is_empty());
+
+    // The workflow's per-run scratch cache is shared the same way, with the
+    // cross-run cache on or off.
+    for cache in [true, false] {
+        let mut registry = DetectorRegistry::new();
+        registry.register(Box::new(RuleBasedDetector::standard()));
+        registry.register(Box::new(RuleBasedDetector::new("team-suite", team_suite())));
+        let report =
+            engine_with_registry(registry, 1, cache).process(std::slice::from_ref(&sample));
+        let team_findings = report.cases[0].findings.iter().filter(|f| f.detector == "taint-flow");
+        assert_eq!(team_findings.count(), 1, "only the stock suite's finding, cache={cache}");
+    }
+    assert_ne!(RuleEngine::default_suite().fingerprint(), team_suite().fingerprint());
+}
+
+/// The engine's keyed scan and the workflow detector share one
+/// `"rule-findings"` entry: the detector's call is two cache hits (parse +
+/// findings) and no misses.
+#[test]
+fn rule_engine_and_rule_detector_share_one_cache_entry() {
+    let sample = sample_of(TEAM_SANITIZED);
+    let cache = AnalysisCache::new();
+    let key = AnalysisCache::content_key(&sample.source);
+    let direct = RuleEngine::default_suite().scan_source_cached_keyed(key, &sample.source, &cache);
+    let before = cache.stats();
+    let assessed = RuleBasedDetector::standard().assess_cached_keyed(&sample, &cache, key);
+    let after = cache.stats();
+    assert_eq!(assessed.findings, direct.expect("parses"));
+    assert_eq!(after.misses, before.misses, "the detector recomputed");
+    assert_eq!(after.hits, before.hits + 2);
+}
+
+/// The engine's keyed scan and the workflow's semantic detector share one
+/// `"absint-findings"` entry: the detector never runs the solver, so its
+/// `absint.solver.iterations` counter does not move.
+#[test]
+fn semantic_engine_and_semantic_detector_share_one_cache_entry() {
+    use vulnman::analysis::checkers::SemanticEngine;
+    let sample = sample_of("void f() { int a[4]; int i = 9; a[i] = 1; consume_table(a, 4); }");
+    let key = AnalysisCache::content_key(&sample.source);
+    let detector_with = |metrics: &Registry| {
+        let mut d = SemanticDetector::standard();
+        d.attach_metrics(metrics);
+        d
+    };
+    let iterations = |metrics: &Registry| metrics.counter("absint.solver.iterations").get();
+
+    // Alone, the detector's cold call runs the solver.
+    let alone = Registry::new();
+    let cold = detector_with(&alone).assess_cached_keyed(&sample, &AnalysisCache::new(), key);
+    assert!(iterations(&alone) > 0);
+    assert!(!cold.findings.is_empty());
+
+    let cache = AnalysisCache::new();
+    let direct = SemanticEngine::new().scan_source_cached_keyed(key, &sample.source, &cache);
+    let metrics = Registry::new();
+    let warm = detector_with(&metrics).assess_cached_keyed(&sample, &cache, key);
+    assert_eq!(warm.findings, direct.expect("parses"));
+    assert_eq!(warm.findings, cold.findings);
+    assert_eq!(iterations(&metrics), 0, "the detector re-ran the solver");
+}
