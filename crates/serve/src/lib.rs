@@ -44,5 +44,5 @@ pub mod service;
 pub use protocol::{
     parse_request, read_frame, Frame, Request, RequestError, Response, MAX_REQUEST_BYTES,
 };
-pub use server::{register_serve_instruments, spawn, ServeConfig, ServerHandle};
+pub use server::{spawn, ServeConfig, ServerHandle};
 pub use service::{ServiceCore, SERVE_CACHE_ENTRY_LIMIT};

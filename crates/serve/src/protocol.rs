@@ -233,14 +233,23 @@ pub enum RequestError {
 }
 
 impl RequestError {
+    /// Every class label, in [`RequestError::class_index`] order.
+    pub(crate) const CLASSES: [&'static str; 4] =
+        ["oversized", "bad_utf8", "bad_json", "unknown_kind"];
+
+    /// Position of this error's class in [`RequestError::CLASSES`].
+    pub(crate) fn class_index(&self) -> usize {
+        match self {
+            RequestError::Oversized { .. } => 0,
+            RequestError::BadUtf8 => 1,
+            RequestError::BadJson(_) => 2,
+            RequestError::UnknownKind(_) => 3,
+        }
+    }
+
     /// Stable class label (used for `serve.reject.<class>` counters).
     pub fn class(&self) -> &'static str {
-        match self {
-            RequestError::Oversized { .. } => "oversized",
-            RequestError::BadUtf8 => "bad_utf8",
-            RequestError::BadJson(_) => "bad_json",
-            RequestError::UnknownKind(_) => "unknown_kind",
-        }
+        Self::CLASSES[self.class_index()]
     }
 
     /// Human-readable rejection message for the error response.

@@ -11,7 +11,8 @@
 //! slots, so a successfully admitted request never blocks the connection
 //! thread. `serve.queue_depth` tracks the live depth and
 //! `serve.queue_depth_peak` the high-water mark, which by construction
-//! never exceeds the bound.
+//! never exceeds the bound; `serve.queue_wait_micros` times each admitted
+//! request from admission to dequeue.
 
 use crate::protocol::{
     http_response, looks_like_http, parse_request, read_frame, read_http_body, read_http_head,
@@ -27,7 +28,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 use vulnman_core::DegradationSummary;
 use vulnman_faults::FaultConfig;
-use vulnman_obs::Registry;
+use vulnman_obs::{Counter, Gauge, Histogram, Registry};
 
 /// Server knobs. `Default` suits tests: loopback, 4 workers, a 64-deep
 /// queue, faults off.
@@ -54,28 +55,67 @@ impl Default for ServeConfig {
     }
 }
 
-/// Pre-registers every `serve.*` instrument, so the exported metrics schema
-/// is identical whether or not a given run sheds, degrades, or rejects
-/// anything (the same schema-stability pattern as `fault.*`/`oracle.*`).
-pub fn register_serve_instruments(metrics: &Registry) {
-    metrics.counter("serve.connections");
-    metrics.counter("serve.requests");
-    metrics.counter("serve.responses");
-    metrics.counter("serve.shed");
-    metrics.counter("serve.degraded");
-    metrics.counter("serve.errors");
-    for class in ["oversized", "bad_utf8", "bad_json", "unknown_kind"] {
-        metrics.counter(&format!("serve.reject.{class}"));
-    }
-    metrics.gauge("serve.queue_depth");
-    metrics.gauge("serve.queue_depth_peak");
-    metrics.histogram("serve.latency_micros");
+/// Pre-resolved handles for every `serve.*` instrument, built once in
+/// [`spawn`] (the same pattern as the workflow engine's stage spans), so
+/// the request path never takes the registry mutex or allocates a name.
+/// Resolving them also registers the whole schema up front, so the exported
+/// metric names are identical whether or not a run sheds, degrades, or
+/// rejects anything (the same schema-stability pattern as `fault.*`).
+struct ServeInstruments {
+    connections: Counter,
+    requests: Counter,
+    responses: Counter,
+    shed: Counter,
+    degraded: Counter,
+    errors: Counter,
+    /// `serve.reject.<class>`, indexed by [`RequestError::class_index`].
+    reject: [Counter; RequestError::CLASSES.len()],
+    queue_depth: Gauge,
+    queue_depth_peak: Gauge,
+    /// Handling time, from dequeue (JSONL) or parse (HTTP) to response.
+    latency_micros: Histogram,
+    /// Admission to dequeue, JSONL only (the HTTP bridge runs inline).
+    queue_wait_micros: Histogram,
 }
 
-/// One admitted unit of work: the request plus the connection's shared
-/// writer to answer on.
+impl ServeInstruments {
+    fn resolve(metrics: &Registry) -> Self {
+        ServeInstruments {
+            connections: metrics.counter("serve.connections"),
+            requests: metrics.counter("serve.requests"),
+            responses: metrics.counter("serve.responses"),
+            shed: metrics.counter("serve.shed"),
+            degraded: metrics.counter("serve.degraded"),
+            errors: metrics.counter("serve.errors"),
+            reject: RequestError::CLASSES
+                .map(|class| metrics.counter(&format!("serve.reject.{class}"))),
+            queue_depth: metrics.gauge("serve.queue_depth"),
+            queue_depth_peak: metrics.gauge("serve.queue_depth_peak"),
+            latency_micros: metrics.histogram("serve.latency_micros"),
+            queue_wait_micros: metrics.histogram("serve.queue_wait_micros"),
+        }
+    }
+
+    /// Counts one rejected request line.
+    fn count_reject(&self, err: &RequestError) {
+        self.errors.inc();
+        self.reject[err.class_index()].inc();
+    }
+
+    /// Observes one finished response on the status counters.
+    fn count_response(&self, resp: &Response) {
+        self.responses.inc();
+        if resp.status == "degraded" {
+            self.degraded.inc();
+        }
+    }
+}
+
+/// One admitted unit of work: the request, when it was admitted, and the
+/// connection's shared writer to answer on.
 struct Job {
     req: Request,
+    admitted: Instant,
     writer: Arc<Mutex<TcpStream>>,
 }
 
@@ -84,20 +124,11 @@ struct Shared {
     core: ServiceCore,
     ledger: Mutex<DegradationSummary>,
     metrics: Registry,
+    instruments: ServeInstruments,
     depth: AtomicI64,
     peak: AtomicI64,
     queue_bound: i64,
     max_request_bytes: usize,
-}
-
-impl Shared {
-    /// Observes one finished response on the status counters.
-    fn count_response(&self, resp: &Response) {
-        self.metrics.counter("serve.responses").inc();
-        if resp.status == "degraded" {
-            self.metrics.counter("serve.degraded").inc();
-        }
-    }
 }
 
 /// A running server. Dropping the handle does *not* stop the server; call
@@ -149,7 +180,6 @@ impl ServerHandle {
 ///
 /// Returns the bind error if the address is unavailable.
 pub fn spawn(addr: &str, config: ServeConfig, metrics: &Registry) -> std::io::Result<ServerHandle> {
-    register_serve_instruments(metrics);
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     let workers = config.workers.max(1);
@@ -157,6 +187,7 @@ pub fn spawn(addr: &str, config: ServeConfig, metrics: &Registry) -> std::io::Re
         core: ServiceCore::new(metrics, &config.fault),
         ledger: Mutex::new(DegradationSummary::default()),
         metrics: metrics.clone(),
+        instruments: ServeInstruments::resolve(metrics),
         depth: AtomicI64::new(0),
         peak: AtomicI64::new(0),
         queue_bound: config.queue.max(1) as i64,
@@ -189,7 +220,7 @@ pub fn spawn(addr: &str, config: ServeConfig, metrics: &Registry) -> std::io::Re
                 let shared = Arc::clone(&shared);
                 let tx = tx.clone();
                 std::thread::spawn(move || {
-                    shared.metrics.counter("serve.connections").inc();
+                    shared.instruments.connections.inc();
                     let _ = serve_connection(&shared, &tx, stream);
                 });
             }
@@ -202,6 +233,7 @@ pub fn spawn(addr: &str, config: ServeConfig, metrics: &Registry) -> std::io::Re
 
 /// Executes queued jobs until every sender is gone.
 fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
+    let instruments = &shared.instruments;
     loop {
         let job = match rx.lock() {
             Ok(guard) => guard.recv(),
@@ -209,33 +241,39 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>) {
         };
         let Ok(job) = job else { return };
         let depth = shared.depth.fetch_sub(1, Ordering::AcqRel) - 1;
-        shared.metrics.gauge("serve.queue_depth").set(depth);
+        instruments.queue_depth.set(depth);
         let start = Instant::now();
+        instruments.queue_wait_micros.observe_duration(start - job.admitted);
         let resp = shared.core.handle(&job.req, &shared.ledger);
-        shared
-            .metrics
-            .histogram("serve.latency_micros")
-            .observe(start.elapsed().as_micros() as u64);
-        shared.count_response(&resp);
-        write_line(&job.writer, &resp);
+        instruments.latency_micros.observe_duration(start.elapsed());
+        instruments.count_response(&resp);
+        write_reply(&job.writer, resp.encode().as_bytes());
     }
 }
 
-/// Appends one encoded response under the connection's writer lock.
-fn write_line(writer: &Mutex<TcpStream>, resp: &Response) {
+/// Writes one already-encoded reply under the connection's writer lock, in
+/// a single `write_all` so replies from concurrent workers never interleave.
+/// Encoding happens before the lock, so the lock only covers the send.
+fn write_reply(writer: &Mutex<TcpStream>, bytes: &[u8]) {
     if let Ok(mut stream) = writer.lock() {
-        let _ = stream.write_all(resp.encode().as_bytes());
-        let _ = stream.flush();
+        let _ = stream.write_all(bytes);
     }
 }
 
 /// Frames one connection: JSONL lines go through admission and the worker
 /// queue; an HTTP preamble diverts to the one-shot bridge.
+///
+/// Nagle is turned off first. Every reply is one small write. With Nagle
+/// on, a reply written while the previous one was unacknowledged waited for
+/// the peer's ACK, which the peer delays until its next request, so reply
+/// latency tracked the gap between requests rather than the work. Nothing
+/// here gains from coalescing replies, so there is no option to keep it.
 fn serve_connection(
     shared: &Shared,
     tx: &SyncSender<Job>,
     stream: TcpStream,
 ) -> std::io::Result<()> {
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let writer = Arc::new(Mutex::new(stream));
     let mut first = true;
@@ -261,15 +299,15 @@ fn serve_connection(
 
 /// Answers a rejected line with its structured error (id 0: the line never
 /// parsed far enough to carry one).
-fn reject(shared: &Shared, writer: &Arc<Mutex<TcpStream>>, err: &RequestError) {
-    shared.metrics.counter("serve.errors").inc();
-    shared.metrics.counter(&format!("serve.reject.{}", err.class())).inc();
-    write_line(writer, &Response::error(0, err.message()));
+fn reject(shared: &Shared, writer: &Mutex<TcpStream>, err: &RequestError) {
+    shared.instruments.count_reject(err);
+    write_reply(writer, Response::error(0, err.message()).encode().as_bytes());
 }
 
 /// Admission control: CAS the depth below the bound or shed.
 fn submit(shared: &Shared, tx: &SyncSender<Job>, writer: &Arc<Mutex<TcpStream>>, req: Request) {
-    shared.metrics.counter("serve.requests").inc();
+    let instruments = &shared.instruments;
+    instruments.requests.inc();
     let admitted = loop {
         let cur = shared.depth.load(Ordering::Acquire);
         if cur >= shared.queue_bound {
@@ -277,9 +315,9 @@ fn submit(shared: &Shared, tx: &SyncSender<Job>, writer: &Arc<Mutex<TcpStream>>,
         }
         if shared.depth.compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire).is_ok()
         {
-            shared.metrics.gauge("serve.queue_depth").set(cur + 1);
+            instruments.queue_depth.set(cur + 1);
             shared.peak.fetch_max(cur + 1, Ordering::AcqRel);
-            shared.metrics.gauge("serve.queue_depth_peak").set(shared.peak.load(Ordering::Acquire));
+            instruments.queue_depth_peak.set(shared.peak.load(Ordering::Acquire));
             break true;
         }
     };
@@ -287,7 +325,8 @@ fn submit(shared: &Shared, tx: &SyncSender<Job>, writer: &Arc<Mutex<TcpStream>>,
         shed(shared, writer, req.id);
         return;
     }
-    if tx.try_send(Job { req, writer: Arc::clone(writer) }).is_err() {
+    let job = Job { req, admitted: Instant::now(), writer: Arc::clone(writer) };
+    if tx.try_send(job).is_err() {
         // Workers are gone (shutdown race); undo the admission and shed.
         shared.depth.fetch_sub(1, Ordering::AcqRel);
         shed(shared, writer, 0);
@@ -295,12 +334,12 @@ fn submit(shared: &Shared, tx: &SyncSender<Job>, writer: &Arc<Mutex<TcpStream>>,
 }
 
 /// Records and answers one shed request.
-fn shed(shared: &Shared, writer: &Arc<Mutex<TcpStream>>, id: u64) {
-    shared.metrics.counter("serve.shed").inc();
+fn shed(shared: &Shared, writer: &Mutex<TcpStream>, id: u64) {
+    shared.instruments.shed.inc();
     shared.ledger.lock().unwrap_or_else(|e| e.into_inner()).shed += 1;
     let resp = Response::shed(id);
-    shared.count_response(&resp);
-    write_line(writer, &resp);
+    shared.instruments.count_response(&resp);
+    write_reply(writer, resp.encode().as_bytes());
 }
 
 /// One-shot HTTP bridge: `POST` with a JSON request body, answered with a
@@ -311,8 +350,9 @@ fn serve_http(
     shared: &Shared,
     request_line: &[u8],
     reader: &mut BufReader<TcpStream>,
-    writer: &Arc<Mutex<TcpStream>>,
+    writer: &Mutex<TcpStream>,
 ) -> std::io::Result<()> {
+    let instruments = &shared.instruments;
     let head = read_http_head(request_line, reader)?;
     let (status, body) = if head.method != "POST" {
         ("405 Method Not Allowed", Response::error(0, "use POST with a JSON request body".into()))
@@ -320,28 +360,23 @@ fn serve_http(
         match head.content_length {
             None => ("411 Length Required", Response::error(0, "Content-Length required".into())),
             Some(len) if len > shared.max_request_bytes => {
-                shared.metrics.counter("serve.errors").inc();
-                shared.metrics.counter("serve.reject.oversized").inc();
                 let err = RequestError::Oversized { limit: shared.max_request_bytes };
+                instruments.count_reject(&err);
                 ("413 Payload Too Large", Response::error(0, err.message()))
             }
             Some(len) => {
                 let raw = read_http_body(reader, len)?;
                 match parse_request(&raw) {
                     Err(err) => {
-                        shared.metrics.counter("serve.errors").inc();
-                        shared.metrics.counter(&format!("serve.reject.{}", err.class())).inc();
+                        instruments.count_reject(&err);
                         ("400 Bad Request", Response::error(0, err.message()))
                     }
                     Ok(req) => {
-                        shared.metrics.counter("serve.requests").inc();
+                        instruments.requests.inc();
                         let start = Instant::now();
                         let resp = shared.core.handle(&req, &shared.ledger);
-                        shared
-                            .metrics
-                            .histogram("serve.latency_micros")
-                            .observe(start.elapsed().as_micros() as u64);
-                        shared.count_response(&resp);
+                        instruments.latency_micros.observe_duration(start.elapsed());
+                        instruments.count_response(&resp);
                         ("200 OK", resp)
                     }
                 }
@@ -349,10 +384,7 @@ fn serve_http(
         }
     };
     let payload = http_response(status, serde_json::to_string(&body).expect("serializes").as_str());
-    if let Ok(mut stream) = writer.lock() {
-        let _ = stream.write_all(payload.as_bytes());
-        let _ = stream.flush();
-    }
+    write_reply(writer, payload.as_bytes());
     Ok(())
 }
 
@@ -425,6 +457,63 @@ mod tests {
         assert_eq!(responses[2].id, 9);
         assert_eq!(server.metrics().counter("serve.reject.bad_json").get(), 1);
         assert_eq!(server.metrics().counter("serve.reject.oversized").get(), 1);
+        server.shutdown();
+    }
+
+    /// The `serve.*` names a snapshot exports, by instrument kind.
+    fn serve_names(metrics: &Registry) -> [Vec<String>; 3] {
+        let snap = metrics.snapshot();
+        let serve = |names: Vec<&String>| {
+            names.into_iter().filter(|n| n.starts_with("serve.")).cloned().collect::<Vec<_>>()
+        };
+        [
+            serve(snap.counters.keys().collect()),
+            serve(snap.gauges.keys().collect()),
+            serve(snap.histograms.keys().collect()),
+        ]
+    }
+
+    #[test]
+    fn serve_schema_is_registered_at_spawn_and_traffic_adds_no_names() {
+        let expected = [
+            vec![
+                "serve.connections",
+                "serve.degraded",
+                "serve.errors",
+                "serve.reject.bad_json",
+                "serve.reject.bad_utf8",
+                "serve.reject.oversized",
+                "serve.reject.unknown_kind",
+                "serve.requests",
+                "serve.responses",
+                "serve.shed",
+            ],
+            vec!["serve.queue_depth", "serve.queue_depth_peak"],
+            vec!["serve.latency_micros", "serve.queue_wait_micros"],
+        ]
+        .map(|names| names.into_iter().map(String::from).collect::<Vec<_>>());
+        let metrics = Registry::new();
+        let config = ServeConfig { max_request_bytes: 256, ..ServeConfig::default() };
+        let server = spawn("127.0.0.1:0", config, &metrics).expect("bind loopback");
+        assert_eq!(serve_names(&metrics), expected);
+
+        let lint = serde_json::to_string(&Request {
+            id: 1,
+            kind: "lint".into(),
+            source: "void f() {\n}\n".into(),
+            label: None,
+            cwe: None,
+        })
+        .unwrap();
+        let unknown = r#"{"id": 2, "kind": "explode", "source": "", "label": null, "cwe": null}"#;
+        let lines = [lint, "{".into(), unknown.into(), "x".repeat(1024)];
+        assert_eq!(roundtrip(server.addr(), &lines).len(), 4);
+        for class in RequestError::CLASSES.iter().filter(|c| **c != "bad_utf8") {
+            assert_eq!(metrics.counter(&format!("serve.reject.{class}")).get(), 1, "{class}");
+        }
+        assert_eq!(metrics.counter("serve.errors").get(), 3);
+        assert_eq!(metrics.histogram("serve.queue_wait_micros").count(), 1);
+        assert_eq!(serve_names(&metrics), expected);
         server.shutdown();
     }
 

@@ -4,12 +4,14 @@
 //! reference [`ServiceCore`] — at fault rate 0 and at 5%. Admission
 //! control is exercised separately: the queue-depth gauge never exceeds
 //! its bound, and every shed request is accounted in the degradation
-//! ledger.
+//! ledger. An open-loop client pins the transport: replies arrive when
+//! they are ready, not when the next request happens to be sent.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 use vulnman::prelude::*;
 use vulnman::serve::{spawn, Request, Response, ServeConfig, ServiceCore};
 
@@ -186,4 +188,101 @@ fn overload_sheds_into_the_degradation_ledger_and_respects_the_bound() {
     assert!(peak <= QUEUE as i64, "peak {peak} exceeded the queue bound {QUEUE}");
     assert!(peak > 0, "the gauge should have seen load");
     server.shutdown();
+}
+
+/// Queue wait is observed at dequeue for every admitted JSONL request, so
+/// its count is `serve.requests − serve.shed` whether or not the run sheds.
+#[test]
+fn queue_wait_is_observed_once_per_admitted_request() {
+    const CLIENTS: usize = 4;
+    const PER_CLIENT: usize = 30;
+    let metrics = Registry::new();
+    let config = ServeConfig { workers: 1, queue: 2, ..ServeConfig::default() };
+    let server = spawn("127.0.0.1:0", config, &metrics).expect("bind");
+    let addr = server.addr();
+    let requests = request_mix(CLIENTS * PER_CLIENT);
+    let answered: usize = std::thread::scope(|scope| {
+        let handles: Vec<_> = requests
+            .chunks(PER_CLIENT)
+            .map(|chunk| scope.spawn(move || run_client(addr, chunk).len()))
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("client thread")).sum()
+    });
+    assert_eq!(answered, requests.len());
+
+    let requested = metrics.counter("serve.requests").get();
+    let shed = metrics.counter("serve.shed").get();
+    assert_eq!(requested, requests.len() as u64);
+    let waits = metrics.histogram("serve.queue_wait_micros");
+    assert_eq!(waits.count(), requested - shed, "one queue-wait sample per admitted request");
+    assert_eq!(metrics.histogram("serve.latency_micros").count(), requested - shed);
+    server.shutdown();
+}
+
+/// Open-loop transport regression: one connection, a sender issuing `lint`
+/// requests every 10 ms and a receiver reading the replies off the same
+/// connection. Each reply is one small write. With Nagle on at the server, a
+/// reply written while the previous one is unacknowledged waits for the
+/// peer's ACK, and the peer delays that ACK until it has data to send: the
+/// next request. Two requests due together start that chain; from then on
+/// every reply waited a full gap, and so did the median.
+#[test]
+fn open_loop_replies_are_not_held_until_the_next_request() {
+    const REQUESTS: usize = 60;
+    const GAP: Duration = Duration::from_millis(10);
+    let server = spawn("127.0.0.1:0", ServeConfig::default(), &Registry::new()).expect("bind");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream.set_nodelay(true).unwrap();
+    // A lost reply fails the test instead of hanging it.
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let reader = BufReader::new(stream.try_clone().unwrap());
+    let lines: Vec<String> = (0..REQUESTS as u64)
+        .map(|id| {
+            let req = Request {
+                id,
+                kind: "lint".into(),
+                source: "int f() { int z = 0; return 10 / z; }".into(),
+                label: None,
+                cwe: None,
+            };
+            serde_json::to_string(&req).unwrap() + "\n"
+        })
+        .collect();
+
+    let start = Instant::now() + GAP;
+    // Requests 2 and 3 are due together, so their replies go out back to back.
+    let due = |i: usize| start + GAP * (if i > 2 { i - 1 } else { i }) as u32;
+    let replies: Vec<(Response, Instant)> = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut writer = &stream;
+            for (i, line) in lines.iter().enumerate() {
+                std::thread::sleep(due(i).saturating_duration_since(Instant::now()));
+                writer.write_all(line.as_bytes()).expect("send");
+            }
+        });
+        reader
+            .lines()
+            .take(REQUESTS)
+            .map(|line| {
+                let read = Instant::now();
+                (serde_json::from_str(&line.expect("read reply")).expect("reply parses"), read)
+            })
+            .collect()
+    });
+    stream.shutdown(std::net::Shutdown::Both).unwrap();
+    server.shutdown();
+
+    let mut seen = vec![0usize; REQUESTS];
+    let mut lags: Vec<Duration> = replies
+        .iter()
+        .map(|(resp, read)| {
+            assert_eq!(resp.status, "ok", "{resp:?}");
+            seen[resp.id as usize] += 1;
+            read.saturating_duration_since(due(resp.id as usize))
+        })
+        .collect();
+    assert!(seen.iter().all(|&n| n == 1), "every request answered exactly once: {seen:?}");
+    lags.sort();
+    let median = lags[REQUESTS / 2];
+    assert!(median < GAP / 2, "median reply lag {median:?} is not below half the {GAP:?} gap");
 }
