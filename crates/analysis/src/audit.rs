@@ -360,11 +360,11 @@ impl AuditEngine {
         units
     }
 
-    /// Scans one unit with every family. Engines are provided per worker;
-    /// the ML scorer is shared (it is `Sync`).
+    /// Scans one unit with every family. The engines and the ML scorer are
+    /// shared by every worker (all are `Sync` and hold only configuration).
     fn scan_unit(
         unit: &AuditUnit,
-        engines: &WorkerEngines,
+        engines: &FamilyEngines,
         ml: Option<&dyn MlVerdict>,
     ) -> UnitHits {
         let mut hits = Vec::with_capacity(5);
@@ -389,32 +389,11 @@ impl AuditEngine {
     /// byte-identical for any `jobs` value.
     pub fn run(&self) -> AuditReport {
         let units = self.corpus();
-        let jobs = self.config.jobs.max(1).min(units.len().max(1));
+        let engines = FamilyEngines::new();
         let ml = self.ml.as_deref();
-        let mut hits: Vec<UnitHits> = Vec::with_capacity(units.len());
-        if jobs <= 1 {
-            let engines = WorkerEngines::new();
-            hits.extend(units.iter().map(|u| Self::scan_unit(u, &engines, ml)));
-        } else {
-            // Contiguous chunks, results reassembled in unit order: the
-            // partition affects only wall-clock, never the report.
-            let chunk = units.len().div_ceil(jobs);
-            let mut results: Vec<Vec<UnitHits>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = units
-                    .chunks(chunk)
-                    .map(|part| {
-                        scope.spawn(move || {
-                            let engines = WorkerEngines::new();
-                            part.iter().map(|u| Self::scan_unit(u, &engines, ml)).collect()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("audit worker panicked")).collect()
-            });
-            for part in results.drain(..) {
-                hits.extend(part);
-            }
-        }
+        let hits = vulnman_lang::par::map(units.len(), self.config.jobs, |i| {
+            Self::scan_unit(&units[i], &engines, ml)
+        });
 
         let families = self.families();
         let n = self.config.samples_per_class;
@@ -466,17 +445,18 @@ impl AuditEngine {
     }
 }
 
-/// Per-worker detector instances (none of them borrow the corpus).
-struct WorkerEngines {
+/// The detector instances one audit scans with, shared by reference across
+/// workers (none of them borrow the corpus).
+struct FamilyEngines {
     rules: RuleEngine,
     taint: TaintDetector,
     semantics: SemanticEngine,
     dynamic: DynamicSanitizer,
 }
 
-impl WorkerEngines {
+impl FamilyEngines {
     fn new() -> Self {
-        WorkerEngines {
+        FamilyEngines {
             rules: RuleEngine::syntactic_suite(),
             taint: TaintDetector::default_config(),
             semantics: SemanticEngine::new(),

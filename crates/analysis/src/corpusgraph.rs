@@ -18,8 +18,6 @@
 use crate::reachability::Surface;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use vulnman_lang::absint::CallGraph as SccGraph;
 use vulnman_lang::cache::AnalysisCache;
 use vulnman_lang::ParseError;
@@ -467,34 +465,16 @@ impl CorpusGraph {
     }
 }
 
-/// Parses all units, sharded over `jobs` threads. Results land by index, so
-/// output is independent of the worker count; errors surface in unit order.
+/// Parses all units through [`vulnman_lang::par::map`] on `jobs` threads.
+/// Results land by index, so output is independent of the worker count;
+/// the first parse error in unit order is the error.
 fn parse_units(
     units: &[UnitRef<'_>],
     cache: &AnalysisCache,
     jobs: usize,
 ) -> Result<Vec<std::sync::Arc<vulnman_lang::Program>>, ParseError> {
-    let jobs = jobs.max(1);
-    if jobs == 1 || units.len() < 4 {
-        return units.iter().map(|u| cache.parse(u.source)).collect();
-    }
-    type ParseSlot = Mutex<Option<Result<std::sync::Arc<vulnman_lang::Program>, ParseError>>>;
-    let results: Vec<ParseSlot> = units.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(units.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= units.len() {
-                    break;
-                }
-                *results[i].lock().expect("parse slot") = Some(cache.parse(units[i].source));
-            });
-        }
-    });
-    results
+    vulnman_lang::par::map(units.len(), jobs, |i| cache.parse(units[i].source))
         .into_iter()
-        .map(|slot| slot.into_inner().expect("parse slot").expect("every unit parsed"))
         .collect()
 }
 
@@ -507,35 +487,16 @@ fn betweenness_centrality(callees: &[Vec<usize>], jobs: usize) -> Vec<f64> {
     if n < 3 {
         return vec![0.0; n];
     }
-    let n_chunks = n.div_ceil(BETWEENNESS_CHUNK);
-    let partials: Vec<Mutex<Option<Vec<f64>>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let worker = || loop {
-        let chunk = next.fetch_add(1, Ordering::Relaxed);
-        if chunk >= n_chunks {
-            break;
-        }
+    let partials = vulnman_lang::par::map(n.div_ceil(BETWEENNESS_CHUNK), jobs, |chunk| {
         let lo = chunk * BETWEENNESS_CHUNK;
-        let hi = (lo + BETWEENNESS_CHUNK).min(n);
         let mut acc = vec![0.0f64; n];
-        for s in lo..hi {
+        for s in lo..(lo + BETWEENNESS_CHUNK).min(n) {
             brandes_from(s, callees, &mut acc);
         }
-        *partials[chunk].lock().expect("partial slot") = Some(acc);
-    };
-    let jobs = jobs.max(1).min(n_chunks);
-    if jobs == 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..jobs {
-                scope.spawn(worker);
-            }
-        });
-    }
+        acc
+    });
     let mut bc = vec![0.0f64; n];
-    for slot in partials {
-        let part = slot.into_inner().expect("partial slot").expect("every chunk computed");
+    for part in partials {
         for (b, p) in bc.iter_mut().zip(&part) {
             *b += p;
         }

@@ -56,8 +56,15 @@ impl RuleEngine {
 
     /// The standard industry suite: one specialized tool per CWE family.
     pub fn default_suite() -> Self {
+        RuleEngine::suite_with_taint(TaintConfig::default_config())
+    }
+
+    /// [`RuleEngine::default_suite`] with the taint detector using `taint`
+    /// (e.g. a team's sanitizer vocabulary); the other detectors are
+    /// vocabulary-independent. Detector order is the stock suite's.
+    pub fn suite_with_taint(taint: TaintConfig) -> Self {
         let mut e = RuleEngine::syntactic_suite();
-        e.detectors.insert(0, Box::new(TaintDetector::default_config()));
+        e.detectors.insert(0, Box::new(TaintDetector::with_config(taint)));
         e
     }
 

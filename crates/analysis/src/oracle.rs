@@ -33,9 +33,9 @@
 //! corpus under `tests/golden_oracle/` (see [`GoldenCase`]) so every triaged
 //! disagreement becomes a permanent regression test.
 //!
-//! The whole pass is deterministic: per-sample assessment is pure, shards
-//! are contiguous chunks joined in order (the same discipline as the
-//! workflow engine), so reports are byte-identical across `--jobs` settings.
+//! The whole pass is deterministic: per-sample assessment is pure and the
+//! corpus fans out through [`vulnman_lang::par::map`], so reports are
+//! byte-identical across `--jobs` settings.
 
 use crate::detectors::{sink_kind_to_cwe, RuleEngine, StaticDetector};
 use crate::dynamic::{dynamically_detectable, DynamicSanitizer};
@@ -547,8 +547,16 @@ impl DifferentialOracle {
     /// [`DifferentialOracle::classify_source`] with the sample's own id,
     /// ground truth, and noise provenance.
     pub fn classify_sample(&self, sample: &Sample) -> Vec<Disagreement> {
+        self.classify_sample_in(sample, &self.cache)
+    }
+
+    /// [`DifferentialOracle::classify_sample`] through a caller-owned
+    /// `cache` instead of the oracle's own, so a long-lived host (the serve
+    /// layer) keeps every view under its single bounded cache. The result
+    /// is identical for any cache.
+    pub fn classify_sample_in(&self, sample: &Sample, cache: &AnalysisCache) -> Vec<Disagreement> {
         let truth = if sample.label { sample.cwe } else { None };
-        self.classify(sample.id, &sample.source, truth, sample.is_mislabeled(), &self.cache)
+        self.classify(sample.id, &sample.source, truth, sample.is_mislabeled(), cache)
     }
 
     fn classify(
@@ -725,28 +733,9 @@ impl DifferentialOracle {
 
     /// Assesses every sample, preserving corpus order regardless of `jobs`.
     fn assess_all(&self, samples: &[Sample]) -> Vec<Vec<Disagreement>> {
-        let jobs = self.config.jobs.max(1);
-        if jobs == 1 || samples.len() <= 1 {
-            return samples.iter().map(|s| self.classify_sample(s)).collect();
-        }
-        // Contiguous chunks joined in spawn order: the same determinism
-        // discipline as the workflow engine's sharded path.
-        let chunk = samples.len().div_ceil(jobs);
-        let mut out = Vec::with_capacity(samples.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = samples
-                .chunks(chunk)
-                .map(|slice| {
-                    scope.spawn(move || {
-                        slice.iter().map(|s| self.classify_sample(s)).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            for handle in handles {
-                out.extend(handle.join().expect("oracle shard panicked"));
-            }
-        });
-        out
+        vulnman_lang::par::map(samples.len(), self.config.jobs, |i| {
+            self.classify_sample(&samples[i])
+        })
     }
 
     /// Runs the full differential pass over a corpus.

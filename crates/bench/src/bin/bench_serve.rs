@@ -14,6 +14,9 @@
 //!
 //! Usage: `bench_serve [--quick] [--out FILE] [--label STR] [--check]`
 
+// Client threads here load a live server; they are not a shard fan-out.
+#![allow(clippy::disallowed_methods)]
+
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write as IoWrite};

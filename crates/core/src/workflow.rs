@@ -22,7 +22,7 @@ use vulnman_faults::{site_key, FaultConfig, FaultInjector, FaultKind, Site};
 use vulnman_lang::clone::{CloneConfig, CloneIndex, TokenAlignment};
 use vulnman_lang::hash::unit_f64;
 use vulnman_lang::lexer::lex_ref;
-use vulnman_lang::{AnalysisCache, CacheOp, CacheStats};
+use vulnman_lang::{par, AnalysisCache, CacheOp, CacheStats};
 use vulnman_ml::eval::Metrics;
 use vulnman_obs::{PreparedSpan, Registry, Snapshot};
 use vulnman_synth::sample::Sample;
@@ -673,75 +673,63 @@ impl WorkflowEngine {
         (reviewed, skipped)
     }
 
-    /// The engine's one parallel primitive: maps `f` over `0..n` in
-    /// [`WorkflowConfig::jobs`] contiguous shards, one scoped worker thread
-    /// each, and returns the results in index order. `f` must be pure in
-    /// its index — every call site is — which is what makes recovery exact:
-    /// a worker whose [`Site::ShardWorker`] plan coordinate (its shard
-    /// index) says "crash" hands back the half it finished and the
-    /// coordinator completes the rest inline, and a genuine panic has the
-    /// coordinator recompute the whole shard instead of poisoning the run.
+    /// Maps `f` over `0..n` in [`WorkflowConfig::jobs`] shards through
+    /// [`vulnman_lang::par::run_shards`] and returns the results in index
+    /// order. `f` must be pure in its index — every call site is — which
+    /// is what makes recovery exact: a worker whose [`Site::ShardWorker`]
+    /// plan coordinate (its shard index) says "crash" hands back the half
+    /// it finished and the coordinator completes the rest inline, and a
+    /// genuine panic has the coordinator recompute the whole shard instead
+    /// of poisoning the run.
     fn shard_map<T: Send>(
         &self,
         n: usize,
         run: Option<&FaultRun>,
         f: impl Fn(usize) -> T + Sync,
     ) -> Vec<T> {
-        let jobs = self.config.jobs.clamp(1, n.max(1));
-        let chunk = n.div_ceil(jobs).max(1);
-        let shard = |shard_idx: usize| shard_idx * chunk..((shard_idx + 1) * chunk).min(n);
         let depth = self.metrics.histogram("shard.queue_depth");
         let latency = self.metrics.histogram("shard.latency_micros");
         let f = &f;
-        let mut out = Vec::with_capacity(n);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n.div_ceil(chunk))
-                .map(|shard_idx| {
-                    let (depth, latency) = (depth.clone(), latency.clone());
-                    scope.spawn(move || {
-                        let range = shard(shard_idx);
-                        depth.observe(range.len() as u64);
-                        let t0 = latency.is_enabled().then(std::time::Instant::now);
-                        let crashed = run.is_some_and(|r| {
-                            let key = site_key(0x5A, shard_idx as u64);
-                            match r.injector.attempt(Site::ShardWorker, key, 0) {
-                                Some(FaultKind::Crash) => true,
-                                Some(_) => {
-                                    r.injector.note_recovered(Site::ShardWorker, 1);
-                                    false
-                                }
-                                None => false,
-                            }
-                        });
-                        let take = if crashed { range.len() / 2 } else { range.len() };
-                        let part: Vec<T> = range.take(take).map(f).collect();
-                        if let Some(t0) = t0 {
-                            latency.observe_duration(t0.elapsed());
-                        }
-                        part
-                    })
-                })
-                .collect();
-            for (shard_idx, handle) in handles.into_iter().enumerate() {
-                let range = shard(shard_idx);
-                // An injected crash returns a partial shard; a genuine
-                // panic returns nothing. Either way the coordinator
-                // finishes the slice inline, reproducing exactly what the
-                // worker would have computed.
-                let done = match handle.join() {
-                    Ok(part) => {
-                        let done = part.len();
-                        out.extend(part);
-                        done
+        let parts = par::run_shards(n, self.config.jobs, |shard_idx, range| {
+            depth.observe(range.len() as u64);
+            let t0 = latency.is_enabled().then(std::time::Instant::now);
+            let crashed = run.is_some_and(|r| {
+                let key = site_key(0x5A, shard_idx as u64);
+                match r.injector.attempt(Site::ShardWorker, key, 0) {
+                    Some(FaultKind::Crash) => true,
+                    Some(_) => {
+                        r.injector.note_recovered(Site::ShardWorker, 1);
+                        false
                     }
-                    Err(_) => 0,
-                };
-                if done < range.len() {
-                    self.metrics.counter("fault.shard_crashes").inc();
-                    out.extend(range.skip(done).map(f));
+                    None => false,
                 }
+            });
+            let take = if crashed { range.len() / 2 } else { range.len() };
+            let part: Vec<T> = range.take(take).map(f).collect();
+            if let Some(t0) = t0 {
+                latency.observe_duration(t0.elapsed());
             }
+            part
         });
+        let mut out = Vec::with_capacity(n);
+        for (range, part) in par::shards(n, self.config.jobs).zip(parts) {
+            // An injected crash returns a partial shard; a genuine panic
+            // returns nothing. Either way the coordinator finishes the
+            // slice inline, reproducing exactly what the worker would have
+            // computed.
+            let done = match part {
+                Ok(part) => {
+                    let done = part.len();
+                    out.extend(part);
+                    done
+                }
+                Err(_) => 0,
+            };
+            if done < range.len() {
+                self.metrics.counter("fault.shard_crashes").inc();
+                out.extend(range.skip(done).map(f));
+            }
+        }
         out
     }
 
@@ -1770,6 +1758,47 @@ mod tests {
         assert!(
             snap.counters["fault.shard_crashes"] >= 1,
             "a 90% crash rate across 4 shard workers must kill at least one"
+        );
+    }
+
+    /// Delegates to the standard rule suite but panics on its first
+    /// assessment while `armed` — a genuine (not injected) worker crash.
+    struct PanicsOnce {
+        inner: RuleBasedDetector,
+        armed: std::sync::atomic::AtomicBool,
+    }
+
+    impl crate::detector::Detector for PanicsOnce {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn assess(&self, sample: &Sample) -> Assessment {
+            if self.armed.swap(false, std::sync::atomic::Ordering::SeqCst) {
+                panic!("detector crashed on sample {}", sample.id);
+            }
+            self.inner.assess(sample)
+        }
+    }
+
+    #[test]
+    fn genuinely_panicking_shard_is_recomputed_into_an_identical_report() {
+        let engine = |jobs: usize, armed: bool| {
+            let mut registry = DetectorRegistry::new();
+            registry.register(Box::new(PanicsOnce {
+                inner: RuleBasedDetector::standard(),
+                armed: armed.into(),
+            }));
+            WorkflowEngine::new(registry, WorkflowConfig { jobs, ..Default::default() })
+        };
+        let samples = big_corpus();
+        let seq = engine(1, false).process(&samples);
+        let par_engine = engine(4, true);
+        let par = par_engine.process(&samples);
+        assert_eq!(par.cases.len(), samples.len(), "no sample may be dropped");
+        assert_eq!(serde_json::to_string(&seq).unwrap(), serde_json::to_string(&par).unwrap());
+        assert!(
+            par_engine.metrics_snapshot().counters["fault.shard_crashes"] >= 1,
+            "the panicking shard is recomputed by the coordinator"
         );
     }
 

@@ -636,6 +636,7 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::disallowed_methods)] // concurrent lookups, not a shard fan-out
     fn cache_is_shareable_across_threads() {
         let cache = AnalysisCache::new();
         std::thread::scope(|scope| {

@@ -31,9 +31,8 @@
 //!
 //! Everything is seeded and byte-deterministic: signatures depend only on
 //! `(source, config)`, bucket maps are ordered, pairs are verified in
-//! sorted order, and the parallel builder chunks the corpus exactly like
-//! the workflow engine's sharded path (contiguous chunks joined in spawn
-//! order), so `jobs` never changes a single byte of the output.
+//! sorted order, and the parallel builder shingles through
+//! [`crate::par::map`], so `jobs` never changes a single byte of the output.
 
 use crate::error::ParseResult;
 use crate::hash::{fnv1a, fnv1a_seeded, mix64, FNV_OFFSET};
@@ -388,40 +387,16 @@ impl CloneIndex {
         uf.classes().into_iter().map(|c| c.into_iter().map(|i| i as u32).collect()).collect()
     }
 
-    /// Builds an index over `(id, source)` pairs with `config.jobs` worker
-    /// threads. Shingling is chunked exactly like the workflow engine's
-    /// sharded path (contiguous chunks, joined in spawn order), then
-    /// entries are indexed sequentially in corpus order — the result is
-    /// byte-identical at any job count. Units that fail to lex are
-    /// skipped (they can never share a clone class).
+    /// Builds an index over `(id, source)` pairs: shingling runs on
+    /// `config.jobs` threads through [`crate::par::map`], then entries are
+    /// indexed sequentially in corpus order, so the result is
+    /// byte-identical at any job count. Units that fail to lex are skipped
+    /// (they can never share a clone class).
     pub fn build(sources: &[(u64, &str)], config: CloneConfig) -> Self {
-        let jobs = config.jobs.max(1).min(sources.len().max(1));
-        let shingled: Vec<Option<(u64, Vec<u64>)>> = if jobs <= 1 {
-            sources
-                .iter()
-                .map(|(id, src)| Some((*id, shingles(src, config.shingle_k).ok()?)))
-                .collect()
-        } else {
-            let chunk = sources.len().div_ceil(jobs);
-            let mut out = Vec::with_capacity(sources.len());
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = sources
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || {
-                            slice
-                                .iter()
-                                .map(|(id, src)| Some((*id, shingles(src, config.shingle_k).ok()?)))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    out.extend(handle.join().expect("clone shingler panicked"));
-                }
-            });
-            out
-        };
+        let shingled = crate::par::map(sources.len(), config.jobs, |i| {
+            let (id, src) = sources[i];
+            Some((id, shingles(src, config.shingle_k).ok()?))
+        });
         let mut index = CloneIndex::new(config);
         for entry in shingled.into_iter().flatten() {
             index.insert_entry(entry.0, entry.1);

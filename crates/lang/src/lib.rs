@@ -45,6 +45,7 @@ pub mod intern;
 pub mod interp;
 pub mod lexer;
 pub mod metrics;
+pub mod par;
 pub mod parser;
 pub mod printer;
 pub mod span;

@@ -210,7 +210,7 @@ impl ServiceCore {
             duplicate_of: None,
             artifacts: Default::default(),
         };
-        Response::ok_disagreements(req.id, self.oracle.classify_sample(&sample))
+        Response::ok_disagreements(req.id, self.oracle.classify_sample_in(&sample, &self.cache))
     }
 
     /// Registers `source` in the shared clone index and returns the ids of
@@ -306,6 +306,7 @@ impl ServiceCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vulnman_lang::Stage;
 
     fn core(rate: f64) -> ServiceCore {
         ServiceCore::new(&Registry::new(), &FaultConfig::with_rate(7, rate))
@@ -361,6 +362,35 @@ mod tests {
         r.cwe = Some("NotACwe".into());
         let resp = core.handle(&r, &ledger);
         assert_eq!(resp.status, "error");
+    }
+
+    #[test]
+    fn oracle_requests_share_the_bounded_serve_cache() {
+        let ledger = Mutex::new(DegradationSummary::default());
+        let oracle_req = |id: u64, source: &str| {
+            let mut r = req(id, "oracle", source);
+            r.label = Some(true);
+            r.cwe = Some("SqlInjection".into());
+            r
+        };
+        // A unit the oracle already saw is a parse hit for `analyze`, and
+        // sharing the cache changes no response body.
+        let warm = core(0.0);
+        let oracle_first = warm.handle(&oracle_req(1, VULN), &ledger);
+        let analyze_second = warm.handle(&req(2, "analyze", VULN), &ledger);
+        let parse = warm.cache().stage_stats(Stage::Parse);
+        assert_eq!((parse.hits, parse.misses), (1, 0), "analyze reuses the oracle's parse");
+        let cold = core(0.0);
+        assert_eq!(cold.handle(&req(2, "analyze", VULN), &ledger), analyze_second);
+        assert_eq!(cold.handle(&oracle_req(1, VULN), &ledger), oracle_first);
+        // Distinct oracle units past the bound flush the shared cache.
+        let metrics = Registry::new();
+        let bounded = ServiceCore::new(&metrics, &FaultConfig::with_rate(7, 0.0));
+        for i in 0..=SERVE_CACHE_ENTRY_LIMIT as u64 {
+            let source = format!("int f{i}() {{ return {i}; }}");
+            assert_eq!(bounded.handle(&oracle_req(i, &source), &ledger).status, "ok");
+        }
+        assert!(metrics.counter("cache.evictions").get() > 0, "oracle traffic is bounded");
     }
 
     #[test]

@@ -9,10 +9,7 @@
 //! cargo run --release --example appsec_review
 //! ```
 
-use vulnman::analysis::detectors::{
-    BoundsDetector, CredentialDetector, NullDerefDetector, OverflowDetector, RaceDetector,
-    RuleEngine, TaintDetector, UseAfterFreeDetector,
-};
+use vulnman::analysis::detectors::RuleEngine;
 use vulnman::analysis::severity::{score, triage_order};
 use vulnman::core::customize::SecurityStandard;
 use vulnman::prelude::*;
@@ -42,14 +39,7 @@ fn main() {
     // team's sanitizer vocabulary: the difference is exactly Gap
     // Observation 2.
     let stock = RuleEngine::default_suite();
-    let mut customized = RuleEngine::new();
-    customized.register(Box::new(TaintDetector::with_config(standard.taint_config())));
-    customized.register(Box::new(BoundsDetector));
-    customized.register(Box::new(UseAfterFreeDetector));
-    customized.register(Box::new(OverflowDetector));
-    customized.register(Box::new(NullDerefDetector));
-    customized.register(Box::new(CredentialDetector));
-    customized.register(Box::new(RaceDetector));
+    let customized = RuleEngine::suite_with_taint(standard.taint_config());
 
     let mut scored = Vec::new();
     let mut stock_fps = 0;

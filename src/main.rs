@@ -32,7 +32,7 @@
 //! ```
 
 use std::process::ExitCode;
-use vulnman::analysis::detectors::{RuleEngine, TaintDetector};
+use vulnman::analysis::detectors::RuleEngine;
 use vulnman::analysis::severity::{score, triage_order};
 use vulnman::core::sft::harvest;
 use vulnman::lang::interp::{run_program, InterpConfig};
@@ -177,16 +177,8 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
             config.add_sanitizer(s.to_string());
         }
         // Rebuild the suite with the team-customized taint detector in
-        // place of the stock one (the other detectors are
-        // vocabulary-independent).
-        let mut custom = RuleEngine::new();
-        custom.register(Box::new(TaintDetector::with_config(config.clone())));
-        custom.register(Box::new(vulnman::analysis::detectors::BoundsDetector));
-        custom.register(Box::new(vulnman::analysis::detectors::UseAfterFreeDetector));
-        custom.register(Box::new(vulnman::analysis::detectors::OverflowDetector));
-        custom.register(Box::new(vulnman::analysis::detectors::NullDerefDetector));
-        custom.register(Box::new(vulnman::analysis::detectors::CredentialDetector));
-        custom.register(Box::new(vulnman::analysis::detectors::RaceDetector));
+        // place of the stock one.
+        let mut custom = RuleEngine::suite_with_taint(config.clone());
         if flag_present(args, "--dynamic") {
             let interp_config =
                 vulnman::lang::interp::InterpConfig { taint: config, ..Default::default() };

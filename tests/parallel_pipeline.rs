@@ -103,21 +103,9 @@ fn analysis_cache_is_content_addressed() {
 /// sanitizer: same detector names as `RuleEngine::default_suite`, different
 /// findings.
 fn team_suite() -> RuleEngine {
-    use vulnman::analysis::detectors::{
-        BoundsDetector, CredentialDetector, NullDerefDetector, OverflowDetector, RaceDetector,
-        TaintDetector, UseAfterFreeDetector,
-    };
     let mut taint = TaintConfig::default_config();
     taint.add_sanitizer("team_clean");
-    let mut suite = RuleEngine::new();
-    suite.register(Box::new(TaintDetector::with_config(taint)));
-    suite.register(Box::new(BoundsDetector));
-    suite.register(Box::new(UseAfterFreeDetector));
-    suite.register(Box::new(OverflowDetector));
-    suite.register(Box::new(NullDerefDetector));
-    suite.register(Box::new(CredentialDetector));
-    suite.register(Box::new(RaceDetector));
-    suite
+    RuleEngine::suite_with_taint(taint)
 }
 
 const TEAM_SANITIZED: &str =
