@@ -28,9 +28,9 @@ use vulnman_lang::absint::domain::inst_reads;
 use vulnman_lang::absint::ownership::FREE_FNS;
 use vulnman_lang::absint::provenance::{KIND_COMMAND, KIND_FORMAT};
 use vulnman_lang::absint::{
-    analyze_program, Domain, DomainAnalysis, Env, Init, InitDomain, Interval, IntervalDomain,
-    Nullness, NullnessDomain, Ownership, OwnershipDomain, Provenance, ProvenanceDomain,
-    SolverConfig, SolverStats, Width, WidthDomain,
+    analyze_framed, CallGraph, Domain, DomainAnalysis, Env, Init, InitDomain, Interval,
+    IntervalDomain, Nullness, NullnessDomain, Ownership, OwnershipDomain, Provenance,
+    ProvenanceDomain, SolverConfig, SolverStats, Width, WidthDomain,
 };
 use vulnman_lang::ast::{BinOp, Expr, ExprKind, Function, LValue, Program, Type, UnOp};
 use vulnman_lang::cfg::{Cfg, CfgInst};
@@ -38,7 +38,7 @@ use vulnman_lang::hash::{fnv1a, fnv1a_seeded};
 use vulnman_lang::incremental::{
     analyze_program_incremental_in, IncrementalContext, IncrementalTrace,
 };
-use vulnman_lang::AnalysisCache;
+use vulnman_lang::{AnalysisCache, Symbol};
 use vulnman_obs::Registry;
 use vulnman_synth::cwe::Cwe;
 
@@ -53,9 +53,13 @@ pub struct SemanticScan {
     pub findings: Vec<Finding>,
     /// Accumulated fixpoint statistics across all domain passes.
     pub stats: SolverStats,
+    /// Wall time of framing the program — call graph, bottom-up order and
+    /// one CFG per function, shared by every pass — in microseconds.
+    pub framing_micros: u64,
     /// Wall time of each domain pass (solver + checkers), in microseconds,
     /// keyed by domain name in pass order. The ownership pass includes the
-    /// trace-interleaving TOCTOU checker it hosts.
+    /// trace-interleaving TOCTOU checker it hosts. Together with
+    /// `framing_micros` this covers the whole scan.
     pub domain_micros: Vec<(&'static str, u64)>,
 }
 
@@ -75,7 +79,7 @@ pub struct IncrementalSemanticScan {
 }
 
 /// Builds a pass's domain from the callee summaries solved so far.
-type MakeDomain<D> = fn(&BTreeMap<String, <D as Domain>::Value>) -> D;
+type MakeDomain<D> = fn(&BTreeMap<Symbol, <D as Domain>::Value>) -> D;
 
 /// A per-function checker: inspects one solved function and appends its
 /// findings.
@@ -83,8 +87,10 @@ type Checker<D> = fn(&Function, &Cfg, &D, &DomainAnalysis<<D as Domain>::Value>,
 
 /// Runs one domain pass over a whole program. The drivers share the pass
 /// list in [`run_passes`]: [`BatchDriver`] solves every function with
-/// [`analyze_program`], [`IncrementalDriver`] goes through the per-stage
-/// tables of an [`AnalysisCache`].
+/// [`analyze_framed`], [`IncrementalDriver`] goes through the per-stage
+/// tables of an [`AnalysisCache`]. Each driver frames its program once
+/// (call graph and bottom-up order, the same way for both) and every pass
+/// shares that framing.
 trait PassDriver {
     /// Runs the pass called `name` (the `absint.domain.<name>_micros`
     /// histogram) under stage-key tag `tag`.
@@ -105,9 +111,13 @@ fn run_passes(d: &mut impl PassDriver) {
     d.pass("provenance", 0x06, |s| ProvenanceDomain::with_summaries(s.clone()), check_sinks);
 }
 
-/// Solves every function of one program per pass, timing each pass.
+/// Solves every function of one program per pass, timing each pass. The
+/// framing — bottom-up order and one CFG per function — is built once and
+/// shared by all passes.
 struct BatchDriver<'p> {
     program: &'p Program,
+    order: Vec<usize>,
+    cfgs: Vec<Cfg>,
     config: SolverConfig,
     scan: SemanticScan,
 }
@@ -119,9 +129,14 @@ impl PassDriver for BatchDriver<'_> {
     {
         let t = Instant::now();
         let findings = &mut self.scan.findings;
-        let pa = analyze_program(self.program, self.config, make, |f, cfg, d, a| {
-            check(f, cfg, d, a, findings)
-        });
+        let pa = analyze_framed(
+            self.program,
+            &self.order,
+            &self.cfgs,
+            self.config,
+            make,
+            |f, cfg, d, a| check(f, cfg, d, a, findings),
+        );
         self.scan.stats.absorb(&pa.stats);
         self.scan.domain_micros.push((name, t.elapsed().as_micros() as u64));
     }
@@ -174,6 +189,10 @@ impl PassDriver for PassNames {
     }
 }
 
+/// Wall time of framing a program for the batch passes (call graph, order
+/// and CFGs); the six domain histograms plus this one cover a whole scan.
+const FRAMING_HISTOGRAM: &str = "absint.framing_micros";
+
 /// The `absint.domain.<name>_micros` histogram of one pass.
 fn domain_histogram(name: &str) -> String {
     format!("absint.domain.{name}_micros")
@@ -212,12 +231,19 @@ impl SemanticEngine {
 
     /// Runs every domain pass and returns findings plus telemetry.
     pub fn analyze(&self, program: &Program) -> SemanticScan {
+        let t = Instant::now();
+        let order = CallGraph::build(program).bottom_up_order();
+        let cfgs = program.functions.iter().map(Cfg::build).collect();
+        let framing_micros = t.elapsed().as_micros() as u64;
         let mut driver = BatchDriver {
             program,
+            order,
+            cfgs,
             config: self.config,
             scan: SemanticScan {
                 findings: Vec::new(),
                 stats: SolverStats { converged: true, ..SolverStats::default() },
+                framing_micros,
                 domain_micros: Vec::new(),
             },
         };
@@ -335,6 +361,7 @@ impl SemanticEngine {
         }
         metrics.counter("absint.findings").add(scan.findings.len() as u64);
         if metrics.is_enabled() {
+            metrics.histogram(FRAMING_HISTOGRAM).observe(scan.framing_micros);
             for (name, micros) in &scan.domain_micros {
                 metrics.histogram(&domain_histogram(name)).observe(*micros);
             }
@@ -410,6 +437,7 @@ pub fn register_absint_instruments(metrics: &Registry) {
     metrics.counter("absint.solver.widenings");
     metrics.counter("absint.solver.nonconverged");
     metrics.counter("absint.findings");
+    metrics.histogram(FRAMING_HISTOGRAM);
     let mut names = PassNames(Vec::new());
     run_passes(&mut names);
     for name in names.0 {
@@ -1573,10 +1601,33 @@ mod tests {
             "absint.domain.ownership_micros",
             "absint.domain.width_micros",
             "absint.domain.provenance_micros",
+            "absint.framing_micros",
         ] {
             assert!(json.contains(key), "{key} must be pre-registered");
         }
         assert!(metrics.counter("absint.solver.iterations").get() > 0);
         assert_eq!(metrics.counter("absint.findings").get(), 1);
+        // One framing per scan, next to one observation per domain pass.
+        assert_eq!(metrics.histogram("absint.framing_micros").count(), 1);
+        assert_eq!(metrics.histogram("absint.domain.width_micros").count(), 1);
+    }
+
+    #[test]
+    fn batch_scan_frames_once_and_matches_the_incremental_driver() {
+        // Cycle members, a callee defined after its caller, and a
+        // branch-bearing body: every pass solves over the shared framing in
+        // bottom-up order, exactly like the incremental driver.
+        let source = "int even(int n) { if (n) { return odd(n - 1); } return 1; }\n\
+                      int odd(int n) { if (n) { return even(n - 1); } return 0; }\n\
+                      int top_fn(int x) { int z = leaf() - 2; return x / z; }\n\
+                      int leaf() { return 2; }";
+        let engine = SemanticEngine::new();
+        let batch = engine.analyze(&parse(source).unwrap());
+        let names: Vec<&str> = batch.domain_micros.iter().map(|(n, _)| *n).collect();
+        assert_eq!(names, ["interval", "nullness", "init", "ownership", "width", "provenance"]);
+        assert!(batch.findings.iter().any(|f| f.cwe == Cwe::DivideByZero), "{:?}", batch.findings);
+        let incremental = engine.scan_source_incremental(source, &AnalysisCache::new()).unwrap();
+        assert_eq!(incremental.findings, batch.findings);
+        assert_eq!(incremental.stats, batch.stats);
     }
 }

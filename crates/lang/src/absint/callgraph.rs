@@ -5,11 +5,19 @@
 //! graph). Calls into functions not yet summarised — externals, or members
 //! of a recursive cycle — evaluate to the domain's top, which keeps the
 //! single bottom-up pass sound without an inter-function fixpoint.
+//!
+//! The call graph, its bottom-up order and each function's [`Cfg`] are pure
+//! functions of the program, not of the domain. A caller running several
+//! domain passes over one program builds that *framing* once — the order
+//! with [`CallGraph::bottom_up_order`], one CFG per function — and hands it
+//! to [`analyze_framed`] for every pass; [`analyze_program`] is the
+//! single-pass convenience that frames and runs in one call.
 
 use super::domain::{AbstractValue, Domain, Env};
 use super::solver::{DomainAnalysis, Solver, SolverConfig, SolverStats};
 use crate::ast::{Function, Program};
 use crate::cfg::{Cfg, CfgInst};
+use crate::intern::Symbol;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A directed call graph over the functions defined in a [`Program`].
@@ -71,6 +79,12 @@ impl CallGraph {
         self.names.is_empty()
     }
 
+    /// Defined callees of function index `i`, as function indices in
+    /// first-call order.
+    pub(crate) fn callee_indices(&self, i: usize) -> &[usize] {
+        &self.callees[i]
+    }
+
     /// Defined callees of `name`, in first-call order.
     pub fn callees_of(&self, name: &str) -> Vec<&str> {
         match self.index.get(name) {
@@ -83,12 +97,20 @@ impl CallGraph {
     /// of its callers wherever the graph is acyclic; cycles are broken at
     /// the deterministic DFS back-edge (members keep their post-order).
     pub fn bottom_up(&self) -> Vec<&str> {
+        self.bottom_up_order().into_iter().map(|i| self.names[i].as_str()).collect()
+    }
+
+    /// [`CallGraph::bottom_up`] as function indices (positions in
+    /// `program.functions`). This is the solve order of both semantic
+    /// drivers: the batch driver walks it directly, and the incremental
+    /// driver orders cycle members and delivers payloads by it.
+    pub fn bottom_up_order(&self) -> Vec<usize> {
         let mut state = vec![0u8; self.names.len()]; // 0 new, 1 visiting, 2 done
         let mut order = Vec::with_capacity(self.names.len());
         for start in 0..self.names.len() {
             self.post_order(start, &mut state, &mut order);
         }
-        order.iter().map(|&i| self.names[i].as_str()).collect()
+        order
     }
 
     fn post_order(&self, node: usize, state: &mut [u8], order: &mut Vec<usize>) {
@@ -175,7 +197,7 @@ impl CallGraph {
 #[derive(Debug)]
 pub struct ProgramAnalysis<V> {
     /// Abstract return value per defined function.
-    pub summaries: BTreeMap<String, V>,
+    pub summaries: BTreeMap<Symbol, V>,
     /// Aggregated solver statistics across all functions.
     pub stats: SolverStats,
 }
@@ -186,30 +208,58 @@ pub struct ProgramAnalysis<V> {
 /// function with its CFG, the domain it was solved under, and the solution —
 /// this is where checkers inspect per-instruction states via
 /// [`DomainAnalysis::replay`].
+///
+/// Frames the program (call graph, order, CFGs) and runs one pass with
+/// [`analyze_framed`]; callers running several passes over one program
+/// frame it once themselves.
 pub fn analyze_program<D, M, F>(
     program: &Program,
+    config: SolverConfig,
+    make_domain: M,
+    visit: F,
+) -> ProgramAnalysis<D::Value>
+where
+    D: Domain,
+    M: FnMut(&BTreeMap<Symbol, D::Value>) -> D,
+    F: FnMut(&Function, &Cfg, &D, &DomainAnalysis<D::Value>),
+{
+    let order = CallGraph::build(program).bottom_up_order();
+    let cfgs: Vec<Cfg> = program.functions.iter().map(Cfg::build).collect();
+    analyze_framed(program, &order, &cfgs, config, make_domain, visit)
+}
+
+/// One domain pass of [`analyze_program`] over a pre-built framing:
+/// `order` is [`CallGraph::bottom_up_order`] of the program's call graph
+/// and `cfgs[i]` is [`Cfg::build`] of `program.functions[i]`. Neither
+/// depends on the domain, so every pass over a program can share them.
+///
+/// # Panics
+///
+/// Panics if `order` names a function index with no CFG in `cfgs`.
+pub fn analyze_framed<D, M, F>(
+    program: &Program,
+    order: &[usize],
+    cfgs: &[Cfg],
     config: SolverConfig,
     mut make_domain: M,
     mut visit: F,
 ) -> ProgramAnalysis<D::Value>
 where
     D: Domain,
-    M: FnMut(&BTreeMap<String, D::Value>) -> D,
+    M: FnMut(&BTreeMap<Symbol, D::Value>) -> D,
     F: FnMut(&Function, &Cfg, &D, &DomainAnalysis<D::Value>),
 {
-    let cg = CallGraph::build(program);
     let solver = Solver::new(config);
-    let mut summaries: BTreeMap<String, D::Value> = BTreeMap::new();
+    let mut summaries: BTreeMap<Symbol, D::Value> = BTreeMap::new();
     let mut stats = SolverStats { converged: true, ..SolverStats::default() };
-    for name in cg.bottom_up() {
-        let func = program.function(name).expect("call graph node is a defined function");
-        let cfg = Cfg::build(func);
+    for &i in order {
+        let (func, cfg) = (&program.functions[i], &cfgs[i]);
         let domain = make_domain(&summaries);
-        let analysis = solver.run(&domain, &cfg, func);
+        let analysis = solver.run(&domain, cfg, func);
         stats.absorb(&analysis.stats);
-        let ret = return_summary(&domain, &cfg, &analysis);
-        visit(func, &cfg, &domain, &analysis);
-        summaries.insert(name.to_string(), ret);
+        let ret = return_summary(&domain, cfg, &analysis);
+        visit(func, cfg, &domain, &analysis);
+        summaries.insert(func.name.clone(), ret);
     }
     ProgramAnalysis { summaries, stats }
 }

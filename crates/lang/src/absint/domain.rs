@@ -2,7 +2,8 @@
 
 use crate::ast::{Expr, ExprKind, Function, UnOp};
 use crate::cfg::CfgInst;
-use std::collections::BTreeMap;
+use crate::intern::Symbol;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// An element of a join-semilattice with a widening operator.
@@ -30,23 +31,28 @@ pub trait AbstractValue: Clone + PartialEq + fmt::Debug + fmt::Display {
 /// it contributes nothing at join points (which is why the CFG builder's
 /// unreachable-edge pruning matters: dead blocks never even reach a join).
 ///
+/// Keys are the parser's interned [`Symbol`]s, kept in a vector sorted by
+/// name: cloning a state is one allocation plus reference-count bumps, and
+/// joining or widening two states is one merge walk whose key comparisons
+/// mostly hit the pointer-equality fast path. Reads take `&str`.
+///
 /// Variables bound to [`AbstractValue::top`] are canonically *absent*, so
 /// structural equality doubles as lattice equality.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Env<V> {
-    vars: BTreeMap<String, V>,
+    vars: Vec<(Symbol, V)>,
     reachable: bool,
 }
 
 impl<V: AbstractValue> Env<V> {
     /// The bottom state: no path reaches this point yet.
     pub fn bottom() -> Self {
-        Env { vars: BTreeMap::new(), reachable: false }
+        Env { vars: Vec::new(), reachable: false }
     }
 
     /// A reachable state with no variable information (everything top).
     pub fn reachable_top() -> Self {
-        Env { vars: BTreeMap::new(), reachable: true }
+        Env { vars: Vec::new(), reachable: true }
     }
 
     /// Whether any path reaches this point.
@@ -54,23 +60,35 @@ impl<V: AbstractValue> Env<V> {
         self.reachable
     }
 
+    fn find(&self, name: &str) -> Result<usize, usize> {
+        self.vars.binary_search_by(|(k, _)| k.as_str().cmp(name))
+    }
+
     /// The abstract value of `name` (top when untracked).
     pub fn get(&self, name: &str) -> V {
-        self.vars.get(name).cloned().unwrap_or_else(V::top)
+        match self.find(name) {
+            Ok(i) => self.vars[i].1.clone(),
+            Err(_) => V::top(),
+        }
     }
 
     /// Binds `name` to `v`, canonicalising top to absence.
-    pub fn set(&mut self, name: &str, v: V) {
-        if v == V::top() {
-            self.vars.remove(name);
-        } else {
-            self.vars.insert(name.to_string(), v);
+    pub fn set(&mut self, name: &Symbol, v: V) {
+        match (self.vars.binary_search_by(|(k, _)| k.cmp(name)), v == V::top()) {
+            (Ok(i), true) => {
+                self.vars.remove(i);
+            }
+            (Ok(i), false) => self.vars[i].1 = v,
+            (Err(_), true) => {}
+            (Err(i), false) => self.vars.insert(i, (name.clone(), v)),
         }
     }
 
     /// Drops all information about `name` (≡ top).
     pub fn havoc(&mut self, name: &str) {
-        self.vars.remove(name);
+        if let Ok(i) = self.find(name) {
+            self.vars.remove(i);
+        }
     }
 
     /// Iterates over explicitly tracked `(variable, value)` facts in
@@ -82,39 +100,37 @@ impl<V: AbstractValue> Env<V> {
     /// Least upper bound of two states. Variables tracked on only one side
     /// join with implicit top and therefore drop out.
     pub fn join(&self, other: &Self) -> Self {
-        if !self.reachable {
-            return other.clone();
-        }
-        if !other.reachable {
-            return self.clone();
-        }
-        let mut vars = BTreeMap::new();
-        for (k, a) in &self.vars {
-            if let Some(b) = other.vars.get(k) {
-                let j = a.join(b);
-                if j != V::top() {
-                    vars.insert(k.clone(), j);
-                }
-            }
-        }
-        Env { vars, reachable: true }
+        self.merge(other, V::join)
     }
 
     /// Widening: like [`Env::join`] but uses the value-level widening for
     /// variables tracked on both sides (`self` is the previous iterate).
     pub fn widen(&self, other: &Self) -> Self {
+        self.merge(other, V::widen)
+    }
+
+    /// Combines the variables tracked on both sides with `op`; a bottom
+    /// side yields the other state unchanged.
+    fn merge(&self, other: &Self, op: fn(&V, &V) -> V) -> Self {
         if !self.reachable {
             return other.clone();
         }
         if !other.reachable {
             return self.clone();
         }
-        let mut vars = BTreeMap::new();
-        for (k, a) in &self.vars {
-            if let Some(b) = other.vars.get(k) {
-                let w = a.widen(b);
-                if w != V::top() {
-                    vars.insert(k.clone(), w);
+        let mut vars = Vec::with_capacity(self.vars.len().min(other.vars.len()));
+        let (mut i, mut j) = (0, 0);
+        while let (Some((ka, va)), Some((kb, vb))) = (self.vars.get(i), other.vars.get(j)) {
+            match ka.cmp(kb) {
+                Ordering::Less => i += 1,
+                Ordering::Greater => j += 1,
+                Ordering::Equal => {
+                    let v = op(va, vb);
+                    if v != V::top() {
+                        vars.push((ka.clone(), v));
+                    }
+                    i += 1;
+                    j += 1;
                 }
             }
         }
@@ -230,12 +246,12 @@ fn collect_value_reads<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
 /// Variable names that appear under a unary `&` anywhere in the instruction;
 /// a callee receiving `&x` may initialise or overwrite `x`, so domains havoc
 /// (or promote) these after the instruction executes.
-pub fn inst_addr_taken(inst: &CfgInst) -> Vec<&str> {
-    fn visit<'a>(e: &'a Expr, out: &mut Vec<&'a str>) {
+pub fn inst_addr_taken(inst: &CfgInst) -> Vec<&Symbol> {
+    fn visit<'a>(e: &'a Expr, out: &mut Vec<&'a Symbol>) {
         e.walk(&mut |sub| {
             if let ExprKind::Unary(UnOp::AddrOf, inner) = &sub.kind {
                 if let ExprKind::Var(name) = &inner.kind {
-                    out.push(name.as_str());
+                    out.push(name);
                 }
             }
         });

@@ -9,6 +9,7 @@
 use super::domain::{AbstractValue, Domain, Env};
 use crate::ast::{BinOp, Expr, ExprKind, Function, Type, UnOp};
 use crate::cfg::CfgInst;
+use crate::intern::Symbol;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -248,12 +249,12 @@ fn bmul(a: i128, b: i128) -> i128 {
 #[derive(Debug, Clone, Default)]
 pub struct IntervalDomain {
     /// Abstract return value per analysed function.
-    pub summaries: BTreeMap<String, Interval>,
+    pub summaries: BTreeMap<Symbol, Interval>,
 }
 
 impl IntervalDomain {
     /// A domain with the given interprocedural summaries.
-    pub fn with_summaries(summaries: BTreeMap<String, Interval>) -> Self {
+    pub fn with_summaries(summaries: BTreeMap<Symbol, Interval>) -> Self {
         IntervalDomain { summaries }
     }
 

@@ -56,7 +56,7 @@ pub mod provenance;
 pub mod solver;
 pub mod width;
 
-pub use callgraph::{analyze_program, CallGraph, ProgramAnalysis};
+pub use callgraph::{analyze_framed, analyze_program, CallGraph, ProgramAnalysis};
 pub use domain::{AbstractValue, Domain, Env};
 pub use init::{Init, InitDomain};
 pub use interval::{Interval, IntervalDomain};

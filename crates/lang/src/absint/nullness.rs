@@ -11,6 +11,7 @@
 use super::domain::{AbstractValue, Domain, Env};
 use crate::ast::{BinOp, Expr, ExprKind, Function, Type, UnOp};
 use crate::cfg::CfgInst;
+use crate::intern::Symbol;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -84,12 +85,12 @@ pub struct NullnessDomain {
     /// to the allocator convention: an unknown callee returning a pointer is
     /// assumed non-null (the bug class we chase is the literal-null path,
     /// not allocation failure).
-    pub summaries: BTreeMap<String, Nullness>,
+    pub summaries: BTreeMap<Symbol, Nullness>,
 }
 
 impl NullnessDomain {
     /// A domain with the given interprocedural summaries.
-    pub fn with_summaries(summaries: BTreeMap<String, Nullness>) -> Self {
+    pub fn with_summaries(summaries: BTreeMap<Symbol, Nullness>) -> Self {
         NullnessDomain { summaries }
     }
 

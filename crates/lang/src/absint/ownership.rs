@@ -17,6 +17,7 @@
 use super::domain::{AbstractValue, Domain, Env};
 use crate::ast::{Expr, ExprKind, Function};
 use crate::cfg::CfgInst;
+use crate::intern::Symbol;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -119,12 +120,12 @@ pub struct OwnershipDomain {
     /// Abstract return ownership per analysed function (a local wrapper
     /// around an allocator propagates `Owned` to its callers). Externals
     /// outside [`ALLOC_FNS`] evaluate to top.
-    pub summaries: BTreeMap<String, Ownership>,
+    pub summaries: BTreeMap<Symbol, Ownership>,
 }
 
 impl OwnershipDomain {
     /// A domain with the given interprocedural summaries.
-    pub fn with_summaries(summaries: BTreeMap<String, Ownership>) -> Self {
+    pub fn with_summaries(summaries: BTreeMap<Symbol, Ownership>) -> Self {
         OwnershipDomain { summaries }
     }
 

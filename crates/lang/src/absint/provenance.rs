@@ -19,6 +19,7 @@
 use super::domain::{AbstractValue, Domain, Env};
 use crate::ast::{Expr, ExprKind, Function, Type, UnOp};
 use crate::cfg::CfgInst;
+use crate::intern::Symbol;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -165,12 +166,12 @@ pub struct ProvenanceDomain {
     /// Abstract return provenance per analysed function (a local wrapper
     /// around a source propagates external-ness to its callers). Externals
     /// outside the vocabulary evaluate to top.
-    pub summaries: BTreeMap<String, Provenance>,
+    pub summaries: BTreeMap<Symbol, Provenance>,
 }
 
 impl ProvenanceDomain {
     /// A domain with the given interprocedural summaries.
-    pub fn with_summaries(summaries: BTreeMap<String, Provenance>) -> Self {
+    pub fn with_summaries(summaries: BTreeMap<Symbol, Provenance>) -> Self {
         ProvenanceDomain { summaries }
     }
 

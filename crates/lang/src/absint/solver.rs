@@ -149,17 +149,26 @@ impl Solver {
                     branch_cond = Some(c);
                 }
             }
-            for (i, &s) in cfg.blocks[b].succs.iter().enumerate() {
+            let succs = &cfg.blocks[b].succs;
+            for (i, &s) in succs.iter().enumerate() {
                 if rank[s] == usize::MAX {
                     continue; // successor unreachable in RPO (defensive)
                 }
-                let mut edge_env = out.clone();
+                // The last edge takes the exit state itself; earlier edges
+                // copy it.
+                let mut edge_env = if i + 1 == succs.len() {
+                    std::mem::replace(&mut out, Env::bottom())
+                } else {
+                    out.clone()
+                };
                 if let Some(cond) = branch_cond {
-                    if cfg.blocks[b].succs.len() == 2 {
+                    if succs.len() == 2 {
                         domain.refine(&mut edge_env, cond, i == 0);
                     }
                 }
-                let joined = entry[s].join(&edge_env);
+                // ⊥ ⊔ e = e: a first visit adopts the edge state as is.
+                let joined =
+                    if entry[s].is_reachable() { entry[s].join(&edge_env) } else { edge_env };
                 let next = if changes[s] >= self.config.widening_threshold {
                     let widened = entry[s].widen(&joined);
                     if widened != entry[s] {

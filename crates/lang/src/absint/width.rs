@@ -18,6 +18,7 @@ use super::domain::{AbstractValue, Domain, Env};
 use super::interval::Interval;
 use crate::ast::{BinOp, Expr, ExprKind, Function, Type, UnOp};
 use crate::cfg::CfgInst;
+use crate::intern::Symbol;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -143,12 +144,12 @@ impl fmt::Display for Width {
 #[derive(Debug, Clone, Default)]
 pub struct WidthDomain {
     /// Abstract return range per analysed function.
-    pub summaries: BTreeMap<String, Width>,
+    pub summaries: BTreeMap<Symbol, Width>,
 }
 
 impl WidthDomain {
     /// A domain with the given interprocedural summaries.
-    pub fn with_summaries(summaries: BTreeMap<String, Width>) -> Self {
+    pub fn with_summaries(summaries: BTreeMap<Symbol, Width>) -> Self {
         WidthDomain { summaries }
     }
 

@@ -48,6 +48,7 @@ use crate::ast::{Function, Program};
 use crate::cache::{AnalysisCache, Stage};
 use crate::cfg::Cfg;
 use crate::hash::{fnv1a, fnv1a_seeded, mix64, Fnv1a, FNV_OFFSET};
+use crate::intern::Symbol;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -70,12 +71,18 @@ pub fn fingerprint_function(func: &Function) -> u64 {
 /// of the program, so a caller running several domain passes over the same
 /// AST (the semantic engine runs six) builds this once per request
 /// instead of once per pass — on the serving hot path that framing cost,
-/// not the fixpoint, dominates an incremental hit.
+/// not the fixpoint, dominates an incremental hit. The order is built
+/// exactly like the batch driver's ([`CallGraph::bottom_up_order`]); CFGs
+/// come from the [`Stage::Cfg`] table instead of being built up front, so
+/// a fully cached resubmission builds none.
 pub struct IncrementalContext {
     graph: CallGraph,
-    order: Vec<String>,
-    pos: BTreeMap<String, usize>,
-    fps: BTreeMap<String, u64>,
+    /// Function indices in bottom-up solve order.
+    order: Vec<usize>,
+    /// `pos[i]`: where function `i` sits in `order`.
+    pos: Vec<usize>,
+    /// `fps[i]`: the source fingerprint of function `i`.
+    fps: Vec<u64>,
 }
 
 impl IncrementalContext {
@@ -88,14 +95,13 @@ impl IncrementalContext {
     /// this `source`, and the context must only be used with it.
     pub fn with_source(program: &Program, source: &str) -> IncrementalContext {
         let graph = CallGraph::build(program);
-        let order: Vec<String> = graph.bottom_up().iter().map(|n| n.to_string()).collect();
-        let pos: BTreeMap<String, usize> =
-            order.iter().enumerate().map(|(i, n)| (n.clone(), i)).collect();
-        let fps: BTreeMap<String, u64> = program
-            .functions
-            .iter()
-            .map(|f| (f.name.to_string(), fingerprint_function_source(source, f)))
-            .collect();
+        let order = graph.bottom_up_order();
+        let mut pos = vec![0; order.len()];
+        for (k, &i) in order.iter().enumerate() {
+            pos[i] = k;
+        }
+        let fps =
+            program.functions.iter().map(|f| fingerprint_function_source(source, f)).collect();
         IncrementalContext { graph, order, pos, fps }
     }
 }
@@ -178,13 +184,13 @@ pub struct IncrementalRun<V, T> {
 /// Per-SCC cached summary artifact: member summaries in sequential member
 /// order plus the component's folded solver statistics.
 struct SummaryArtifact<V> {
-    members: Vec<(String, V)>,
+    members: Vec<(Symbol, V)>,
     stats: SolverStats,
 }
 
 /// Per-SCC cached findings artifact: one checker payload per member, in
 /// sequential member order.
-struct FindingsArtifact<T>(Vec<(String, T)>);
+struct FindingsArtifact<T>(Vec<T>);
 
 /// Analyses `program` like [`analyze_program`], but through the per-stage
 /// tables of `cache`: CFGs are reused per function fingerprint, and
@@ -216,7 +222,7 @@ pub fn analyze_program_incremental_in<D, M, C, T>(
 where
     D: Domain,
     D::Value: Clone + std::fmt::Debug + Send + Sync + 'static,
-    M: Fn(&BTreeMap<String, D::Value>) -> D,
+    M: Fn(&BTreeMap<Symbol, D::Value>) -> D,
     C: Fn(&Function, &Cfg, &D, &DomainAnalysis<D::Value>) -> T,
     T: Clone + Send + Sync + 'static,
 {
@@ -226,17 +232,16 @@ where
     let fps = &ctx.fps;
 
     let solver = Solver::new(config);
-    let mut completed: BTreeMap<String, D::Value> = BTreeMap::new();
-    let mut payload_map: BTreeMap<String, T> = BTreeMap::new();
+    let mut completed: BTreeMap<Symbol, D::Value> = BTreeMap::new();
+    let mut payload_slots: Vec<Option<T>> = vec![None; program.functions.len()];
     let mut stats = SolverStats { converged: true, ..SolverStats::default() };
     let mut trace = IncrementalTrace::default();
 
     for comp in cg.sccs() {
         // Members in the sequential driver's relative order, so cycle
         // members accumulate overlay summaries exactly like the batch walk.
-        let mut members: Vec<&Function> = comp.iter().map(|&i| &program.functions[i]).collect();
-        members.sort_by_key(|f| pos[f.name.as_str()]);
-        let member_names: BTreeSet<&str> = members.iter().map(|f| f.name.as_str()).collect();
+        let mut members = comp;
+        members.sort_by_key(|&i| pos[i]);
 
         // The component key: pass tag, member fingerprints (order matters —
         // it is the solve order), then each defined external callee's name
@@ -244,14 +249,14 @@ where
         // early cutoff: an edited callee whose summary lands on the same
         // value leaves every caller key unchanged.
         let mut h = mix64(pass_tag);
-        for f in &members {
-            h = mix64(h ^ fps[f.name.as_str()]);
+        for &i in &members {
+            h = mix64(h ^ fps[i]);
         }
         let mut externals: BTreeSet<&str> = BTreeSet::new();
-        for f in &members {
-            for callee in cg.callees_of(f.name.as_str()) {
-                if !member_names.contains(callee) {
-                    externals.insert(callee);
+        for &i in &members {
+            for &j in cg.callee_indices(i) {
+                if !members.contains(&j) {
+                    externals.insert(program.functions[j].name.as_str());
                 }
             }
         }
@@ -271,11 +276,11 @@ where
         if let (Some(s), Some(f)) = (&cached_summary, &cached_findings) {
             for (name, v) in &s.members {
                 completed.insert(name.clone(), v.clone());
-                trace.reused.push(name.clone());
+                trace.reused.push(name.to_string());
             }
             stats.absorb(&s.stats);
-            for (name, t) in &f.0 {
-                payload_map.insert(name.clone(), t.clone());
+            for (&i, t) in members.iter().zip(&f.0) {
+                payload_slots[i] = Some(t.clone());
             }
             continue;
         }
@@ -283,13 +288,13 @@ where
         // Miss on either table: solve the component. The overlay table
         // reproduces the partial summary table `analyze_program` gives
         // cycle members.
-        let mut local: Option<BTreeMap<String, D::Value>> = None;
-        let mut art_members: Vec<(String, D::Value)> = Vec::with_capacity(members.len());
-        let mut art_payloads: Vec<(String, T)> = Vec::with_capacity(members.len());
+        let mut local: Option<BTreeMap<Symbol, D::Value>> = None;
+        let mut art_members: Vec<(Symbol, D::Value)> = Vec::with_capacity(members.len());
+        let mut art_payloads: Vec<T> = Vec::with_capacity(members.len());
         let mut comp_stats = SolverStats { converged: true, ..SolverStats::default() };
-        for func in &members {
-            let name = func.name.as_str();
-            let cfg = cache.stage(Stage::Cfg, fps[name], || Cfg::build(func));
+        for &i in &members {
+            let func = &program.functions[i];
+            let cfg = cache.stage(Stage::Cfg, fps[i], || Cfg::build(func));
             let table = local.as_ref().unwrap_or(&completed);
             let domain = make_domain(table);
             let analysis = solver.run(&domain, &cfg, func);
@@ -299,17 +304,17 @@ where
             if members.len() > 1 {
                 local
                     .get_or_insert_with(|| completed.clone())
-                    .insert(name.to_string(), ret.clone());
+                    .insert(func.name.clone(), ret.clone());
             }
-            art_members.push((name.to_string(), ret));
-            art_payloads.push((name.to_string(), payload));
-            trace.solved.push(name.to_string());
+            art_members.push((func.name.clone(), ret));
+            art_payloads.push(payload);
+            trace.solved.push(func.name.to_string());
         }
         for (name, v) in &art_members {
             completed.insert(name.clone(), v.clone());
         }
-        for (name, t) in &art_payloads {
-            payload_map.insert(name.clone(), t.clone());
+        for (&i, t) in members.iter().zip(&art_payloads) {
+            payload_slots[i] = Some(t.clone());
         }
         stats.absorb(&comp_stats);
         if cached_summary.is_none() {
@@ -333,7 +338,10 @@ where
     // of it) byte-identical to the batch driver.
     let payloads: Vec<(String, T)> = order
         .iter()
-        .map(|n| (n.clone(), payload_map.remove(n.as_str()).expect("every function has a payload")))
+        .map(|&i| {
+            let payload = payload_slots[i].take().expect("every component delivers its members");
+            (program.functions[i].name.to_string(), payload)
+        })
         .collect();
     IncrementalRun { analysis: ProgramAnalysis { summaries: completed, stats }, payloads, trace }
 }

@@ -2,11 +2,12 @@
 
 use crate::ast::*;
 use crate::error::{ParseError, ParseResult};
-use crate::intern::{Interner, Symbol};
+use crate::intern::{FnvBuildHasher, Interner, Symbol};
 use crate::lexer::{lex_ref, LexOutput};
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 use std::borrow::Cow;
+use std::collections::HashSet;
 
 /// Parses a full translation unit from source text.
 ///
@@ -147,12 +148,22 @@ impl<'a> Parser<'a> {
 
     // ----- grammar ---------------------------------------------------------
 
+    /// A translation unit. Like C, a function may be defined only once:
+    /// every name-keyed table downstream (call graph, summaries, stage
+    /// caches) relies on function names being unique within a program.
     fn program(&mut self) -> ParseResult<Program> {
         let mut prog = Program::new();
+        let mut defined: HashSet<Symbol, FnvBuildHasher> = HashSet::default();
         let mut prev_end = 0usize;
         while !self.at(&TokenKind::Eof) {
             let start = self.peek().span.start;
             let mut func = self.function()?;
+            if !defined.insert(func.name.clone()) {
+                return Err(ParseError::new(
+                    format!("redefinition of function `{}`", func.name),
+                    func.span,
+                ));
+            }
             func.doc = self
                 .comments
                 .iter()
@@ -702,6 +713,16 @@ mod tests {
     fn moderate_nesting_still_parses() {
         let src = format!("int f() {{ return {}1{}; }}", "(".repeat(100), ")".repeat(100));
         assert!(parse(&src).is_ok());
+    }
+
+    #[test]
+    fn redefining_a_function_is_an_error() {
+        let err = parse("int f() { return 1; }\nint g() { return 2; }\nint f() { return 3; }")
+            .unwrap_err();
+        assert!(err.message().contains("redefinition of function `f`"), "{err}");
+        assert_eq!(err.span().line, 3);
+        // Calling, or declaring a parameter with, a defined name is fine.
+        assert!(parse("int f(int g) { return g; }\nint g() { return f(1); }").is_ok());
     }
 
     #[test]

@@ -350,6 +350,19 @@ mod tests {
     }
 
     #[test]
+    fn a_redefined_function_is_a_parse_error_for_lint_and_analyze() {
+        let core = core(0.0);
+        let ledger = Mutex::new(DegradationSummary::default());
+        let twice = "int f() { return 1; }\nint f() { int z = 0; return 10 / z; }\n";
+        for (id, kind) in [(6, "lint"), (7, "analyze")] {
+            let resp = core.handle(&req(id, kind, twice), &ledger);
+            assert_eq!(resp.status, "error", "{kind}");
+            let error = resp.error.unwrap();
+            assert!(error.contains("parse error") && error.contains("redefinition"), "{error}");
+        }
+    }
+
+    #[test]
     fn oracle_classifies_and_rejects_unknown_cwe() {
         let core = core(0.0);
         let ledger = Mutex::new(DegradationSummary::default());

@@ -82,11 +82,14 @@ pub fn generate_project(
 ) -> Project {
     assert!(n_units > 0, "a project needs at least one unit");
     let mut rng = StdRng::seed_from_u64(seed);
+    // One emit context for the whole project: its fresh-name counter runs
+    // across units, so no two units define the same function and the whole
+    // program is valid (the parser rejects a redefinition, as C does).
+    let mut ctx = EmitCtx::new(style, Tier::Curated, &mut rng);
     let mut units: Vec<ProjectUnit> = Vec::with_capacity(n_units);
 
     // Benign filler units.
     for i in 0..n_units {
-        let mut ctx = EmitCtx::new(style, Tier::Curated, &mut rng);
         let mut unit = UnitBuilder::new();
         let fns = 1 + ctx.in_range((0, 2));
         for _ in 0..fns {
@@ -108,14 +111,14 @@ pub fn generate_project(
             .collect();
         #[allow(clippy::needless_range_loop)] // i names the bridge while units[i] is mutated
         for i in 0..n_units {
-            if !rng.gen_bool(style.cross_file_call_prob) {
+            if !ctx.rng.gen_bool(style.cross_file_call_prob) {
                 continue;
             }
-            let mut j = rng.gen_range(0..n_units);
+            let mut j = ctx.rng.gen_range(0..n_units);
             if j == i {
                 j = (j + 1) % n_units;
             }
-            let callee = &unit_fns[j][rng.gen_range(0..unit_fns[j].len())];
+            let callee = &unit_fns[j][ctx.rng.gen_range(0..unit_fns[j].len())];
             units[i]
                 .source
                 .push_str(&format!("\nvoid bridge_{callee}_u{i}() {{\n    {callee}();\n}}\n"));
@@ -125,9 +128,8 @@ pub fn generate_project(
     let (vulnerable, cross_unit, cwe) = match flaw {
         ProjectFlaw::Clean => (false, false, None),
         ProjectFlaw::IntraUnit(cwe) => {
-            let mut ctx = EmitCtx::new(style, Tier::Curated, &mut rng);
             let pair = crate::templates::generate(cwe, &mut ctx);
-            let slot = rng.gen_range(0..n_units);
+            let slot = ctx.rng.gen_range(0..n_units);
             units[slot].source.push('\n');
             units[slot].source.push_str(&pair.vulnerable);
             (true, false, Some(cwe))
@@ -150,11 +152,11 @@ pub fn generate_project(
             };
             let helper = format!("project_fetch_{kind}_{seed}");
             let handler = format!("project_handle_{kind}_{seed}");
-            let src_slot = rng.gen_range(0..n_units);
-            let mut sink_slot = rng.gen_range(0..n_units);
+            let src_slot = ctx.rng.gen_range(0..n_units);
+            let mut sink_slot = ctx.rng.gen_range(0..n_units);
             if n_units > 1 {
                 while sink_slot == src_slot {
-                    sink_slot = rng.gen_range(0..n_units);
+                    sink_slot = ctx.rng.gen_range(0..n_units);
                 }
             }
             units[src_slot]
