@@ -1611,23 +1611,4 @@ mod tests {
         assert_eq!(metrics.histogram("absint.framing_micros").count(), 1);
         assert_eq!(metrics.histogram("absint.domain.width_micros").count(), 1);
     }
-
-    #[test]
-    fn batch_scan_frames_once_and_matches_the_incremental_driver() {
-        // Cycle members, a callee defined after its caller, and a
-        // branch-bearing body: every pass solves over the shared framing in
-        // bottom-up order, exactly like the incremental driver.
-        let source = "int even(int n) { if (n) { return odd(n - 1); } return 1; }\n\
-                      int odd(int n) { if (n) { return even(n - 1); } return 0; }\n\
-                      int top_fn(int x) { int z = leaf() - 2; return x / z; }\n\
-                      int leaf() { return 2; }";
-        let engine = SemanticEngine::new();
-        let batch = engine.analyze(&parse(source).unwrap());
-        let names: Vec<&str> = batch.domain_micros.iter().map(|(n, _)| *n).collect();
-        assert_eq!(names, ["interval", "nullness", "init", "ownership", "width", "provenance"]);
-        assert!(batch.findings.iter().any(|f| f.cwe == Cwe::DivideByZero), "{:?}", batch.findings);
-        let incremental = engine.scan_source_incremental(source, &AnalysisCache::new()).unwrap();
-        assert_eq!(incremental.findings, batch.findings);
-        assert_eq!(incremental.stats, batch.stats);
-    }
 }

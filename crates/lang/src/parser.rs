@@ -2,12 +2,12 @@
 
 use crate::ast::*;
 use crate::error::{ParseError, ParseResult};
-use crate::intern::{FnvBuildHasher, Interner, Symbol};
+use crate::intern::{Interner, Symbol};
 use crate::lexer::{lex_ref, LexOutput};
 use crate::span::Span;
 use crate::token::{Token, TokenKind};
 use std::borrow::Cow;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Parses a full translation unit from source text.
 ///
@@ -153,7 +153,7 @@ impl<'a> Parser<'a> {
     /// caches) relies on function names being unique within a program.
     fn program(&mut self) -> ParseResult<Program> {
         let mut prog = Program::new();
-        let mut defined: HashSet<Symbol, FnvBuildHasher> = HashSet::default();
+        let mut defined: BTreeSet<Symbol> = BTreeSet::new();
         let mut prev_end = 0usize;
         while !self.at(&TokenKind::Eof) {
             let start = self.peek().span.start;
