@@ -262,9 +262,8 @@ impl CorpusGraph {
         }
 
         // SCC condensation in bottom-up order, via the absint call-graph
-        // machinery over qualified node names.
-        let qualified: Vec<String> = nodes.iter().map(FnNode::qualified).collect();
-        let scc_graph = SccGraph::from_edges(qualified, &callees);
+        // machinery over the node indices.
+        let scc_graph = SccGraph::from_edges(&callees);
         let comps = scc_graph.sccs();
 
         // Reachability closures (bitsets), summarized bottom-up over the

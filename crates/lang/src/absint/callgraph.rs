@@ -20,94 +20,70 @@ use crate::cfg::{Cfg, CfgInst};
 use crate::intern::Symbol;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// A directed call graph over the functions defined in a [`Program`].
-/// Edges to undefined (external) callees are not represented; externals are
-/// handled by the domains' top fallback.
+/// A directed call graph over the functions defined in a [`Program`], with
+/// nodes numbered like `program.functions`. Edges to undefined (external)
+/// callees are not represented; externals are handled by the domains' top
+/// fallback.
 #[derive(Debug, Clone)]
 pub struct CallGraph {
-    names: Vec<String>,
-    index: BTreeMap<String, usize>,
     callees: Vec<Vec<usize>>,
 }
 
 impl CallGraph {
     /// Builds the call graph of all defined functions.
     pub fn build(program: &Program) -> CallGraph {
-        let names: Vec<String> = program.functions.iter().map(|f| f.name.to_string()).collect();
         let index: BTreeMap<&str, usize> =
-            names.iter().enumerate().map(|(i, n)| (n.as_str(), i)).collect();
+            program.functions.iter().enumerate().map(|(i, f)| (f.name.as_str(), i)).collect();
         let edges: Vec<Vec<usize>> = program
             .functions
             .iter()
             .map(|f| f.callees().iter().filter_map(|c| index.get(c.as_str()).copied()).collect())
             .collect();
-        CallGraph::from_edges(names, &edges)
+        CallGraph::from_edges(&edges)
     }
 
-    /// Builds a call graph directly from adjacency lists over arbitrary node
-    /// names. The corpus graph (`vulnman-analysis`) uses this to reuse the
-    /// SCC condensation and bottom-up machinery over unit-qualified function
+    /// Builds a call graph directly from adjacency lists, one per node. The
+    /// corpus graph (`vulnman-analysis`) uses this to reuse the SCC
+    /// condensation and bottom-up machinery over unit-qualified function
     /// nodes that no single [`Program`] contains. Duplicate and
     /// out-of-range callee indices are dropped; first occurrence wins.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edges.len() != names.len()`.
-    pub fn from_edges(names: Vec<String>, edges: &[Vec<usize>]) -> CallGraph {
-        assert_eq!(names.len(), edges.len(), "one adjacency list per node");
-        let index: BTreeMap<String, usize> =
-            names.iter().enumerate().map(|(i, n)| (n.clone(), i)).collect();
-        let mut callees: Vec<Vec<usize>> = vec![Vec::new(); names.len()];
-        for (i, adj) in edges.iter().enumerate() {
-            let mut seen = BTreeSet::new();
-            for &j in adj {
-                if j < names.len() && seen.insert(j) {
-                    callees[i].push(j);
-                }
-            }
-        }
-        CallGraph { names, index, callees }
+    pub fn from_edges(edges: &[Vec<usize>]) -> CallGraph {
+        let n = edges.len();
+        let callees = edges
+            .iter()
+            .map(|adj| {
+                let mut seen = BTreeSet::new();
+                adj.iter().copied().filter(|&j| j < n && seen.insert(j)).collect()
+            })
+            .collect();
+        CallGraph { callees }
     }
 
     /// Number of defined functions.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.callees.len()
     }
 
     /// Whether the graph has no functions.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.callees.is_empty()
     }
 
-    /// Defined callees of function index `i`, as function indices in
-    /// first-call order.
-    pub(crate) fn callee_indices(&self, i: usize) -> &[usize] {
+    /// Defined callees of function `i`, in first-call order.
+    pub(crate) fn callees(&self, i: usize) -> &[usize] {
         &self.callees[i]
     }
 
-    /// Defined callees of `name`, in first-call order.
-    pub fn callees_of(&self, name: &str) -> Vec<&str> {
-        match self.index.get(name) {
-            Some(&i) => self.callees[i].iter().map(|&j| self.names[j].as_str()).collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Function names in bottom-up order: every callee appears before each
-    /// of its callers wherever the graph is acyclic; cycles are broken at
-    /// the deterministic DFS back-edge (members keep their post-order).
-    pub fn bottom_up(&self) -> Vec<&str> {
-        self.bottom_up_order().into_iter().map(|i| self.names[i].as_str()).collect()
-    }
-
-    /// [`CallGraph::bottom_up`] as function indices (positions in
-    /// `program.functions`). This is the solve order of both semantic
-    /// drivers: the batch driver walks it directly, and the incremental
-    /// driver orders cycle members and delivers payloads by it.
+    /// Function indices in bottom-up order: every callee appears before
+    /// each of its callers wherever the graph is acyclic; cycles are broken
+    /// at the deterministic DFS back-edge (members keep their post-order).
+    /// This is the solve order of both semantic drivers: the batch driver
+    /// walks it directly, and the incremental driver orders cycle members
+    /// and delivers payloads by it.
     pub fn bottom_up_order(&self) -> Vec<usize> {
-        let mut state = vec![0u8; self.names.len()]; // 0 new, 1 visiting, 2 done
-        let mut order = Vec::with_capacity(self.names.len());
-        for start in 0..self.names.len() {
+        let mut state = vec![0u8; self.len()]; // 0 new, 1 visiting, 2 done
+        let mut order = Vec::with_capacity(self.len());
+        for start in 0..self.len() {
             self.post_order(start, &mut state, &mut order);
         }
         order
@@ -135,7 +111,7 @@ impl CallGraph {
     /// the stack, and the output is a pure function of the graph.
     pub fn sccs(&self) -> Vec<Vec<usize>> {
         const UNVISITED: usize = usize::MAX;
-        let n = self.names.len();
+        let n = self.len();
         let mut index = vec![UNVISITED; n];
         let mut low = vec![0usize; n];
         let mut on_stack = vec![false; n];
@@ -309,11 +285,11 @@ mod tests {
         )
         .unwrap();
         let cg = CallGraph::build(&p);
-        let order = cg.bottom_up();
-        let pos = |n: &str| order.iter().position(|&x| x == n).unwrap();
+        let order = cg.bottom_up_order();
+        let pos = |n: &str| order.iter().position(|&i| p.functions[i].name == n).unwrap();
         assert!(pos("leaf") < pos("mid"));
         assert!(pos("mid") < pos("top_fn"));
-        assert_eq!(cg.callees_of("top_fn"), vec!["mid", "leaf"]);
+        assert_eq!(cg.callees(2), [1, 0], "top_fn calls mid, then leaf");
     }
 
     #[test]
@@ -348,7 +324,8 @@ mod tests {
         assert_eq!(all, (0..cg.len()).collect::<Vec<_>>());
         // even/odd share a component; the order is bottom-up: every callee
         // component precedes its callers.
-        let comp_idx = |name: &str| sccs.iter().position(|c| c.contains(&cg.index[name])).unwrap();
+        let index = |name: &str| p.functions.iter().position(|f| f.name == name).unwrap();
+        let comp_idx = |name: &str| sccs.iter().position(|c| c.contains(&index(name))).unwrap();
         assert_eq!(comp_idx("even"), comp_idx("odd"));
         assert!(comp_idx("leaf") < comp_idx("even"));
         assert!(comp_idx("even") < comp_idx("top_fn"));

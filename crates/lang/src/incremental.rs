@@ -254,7 +254,7 @@ where
         }
         let mut externals: BTreeSet<&str> = BTreeSet::new();
         for &i in &members {
-            for &j in cg.callee_indices(i) {
+            for &j in cg.callees(i) {
                 if !members.contains(&j) {
                     externals.insert(program.functions[j].name.as_str());
                 }

@@ -184,13 +184,18 @@ mod tests {
             ProjectFlaw::IntraUnit(Cwe::UseAfterFree),
             ProjectFlaw::CrossUnit(Cwe::SqlInjection),
         ] {
-            let p = generate_project(3, &StyleProfile::mainstream(), 4, flaw);
-            assert_eq!(p.units.len(), 4);
-            for u in &p.units {
-                vulnman_lang::parse(&u.source)
-                    .unwrap_or_else(|e| panic!("{}: {e}\n{}", u.name, u.source));
+            // Larger projects, where independently named units used to
+            // define the same function twice in the whole program.
+            for (seed, n_units) in [(3, 4), (3000, 5), (4000, 5), (5064, 64)] {
+                let p = generate_project(seed, &StyleProfile::mainstream(), n_units, flaw);
+                assert_eq!(p.units.len(), n_units);
+                for u in &p.units {
+                    vulnman_lang::parse(&u.source)
+                        .unwrap_or_else(|e| panic!("{}: {e}\n{}", u.name, u.source));
+                }
+                vulnman_lang::parse(&p.whole_source())
+                    .unwrap_or_else(|e| panic!("seed {seed}: whole program: {e}"));
             }
-            vulnman_lang::parse(&p.whole_source()).expect("whole program parses");
         }
     }
 
