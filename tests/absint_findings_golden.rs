@@ -25,16 +25,24 @@ use vulnman::synth::templates::semantic::{semantic_gap_pair, GAP_CLASSES};
 /// Digest of every unit's findings and solver statistics, generated from
 /// the engine before the shared-framing and `Symbol`-keyed environment
 /// changes to the abstract-interpretation kernel.
-const GOLDEN_DIGEST: u64 = 0xac24_a334_c1a3_84bd;
+const GOLDEN_DIGEST: u64 = 0xa9e6_627d_b357_041f;
+
+/// Checker paths no synthetic template reaches: a product proven to
+/// overflow 64 bits, and a pointer that is the literal null on every path.
+const HAND_WRITTEN: [&str; 2] = [
+    "int square_max() { int x = 9223372036854775807; int y = x * x; return y; }",
+    "void poke() { char* p = 0; *p = 'a'; }",
+];
 
 /// The `hotpath_equivalence` corpus (every CWE family, both labels, mixed
-/// tiers) plus five semantic-gap template pairs per gap class, so every
-/// checker reports; each source is followed by its alpha-renamed,
-/// commented and dead-statement mutants.
+/// tiers) plus five semantic-gap template pairs per gap class and
+/// [`HAND_WRITTEN`], so every checker reports; each source is followed by
+/// its alpha-renamed, commented and dead-statement mutants.
 fn corpus_with_mutants() -> Vec<String> {
     let ds =
         DatasetBuilder::new(0x5EED_CAFE).vulnerable_count(70).vulnerable_fraction(0.35).build();
     let mut sources: Vec<String> = ds.iter().map(|s| s.source.clone()).collect();
+    sources.extend(HAND_WRITTEN.map(String::from));
     let style = StyleProfile::mainstream();
     for cwe in GAP_CLASSES {
         for seed in 0..5u64 {
