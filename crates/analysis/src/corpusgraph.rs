@@ -15,10 +15,10 @@
 //! are merged in chunk order, so float accumulation order never depends on
 //! the worker count.
 
-use crate::reachability::Surface;
+use crate::reachability::{self, Surface};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use vulnman_lang::absint::CallGraph as SccGraph;
+use vulnman_lang::absint::CallGraph;
 use vulnman_lang::cache::AnalysisCache;
 use vulnman_lang::ParseError;
 use vulnman_obs::Registry;
@@ -263,7 +263,7 @@ impl CorpusGraph {
 
         // SCC condensation in bottom-up order, via the absint call-graph
         // machinery over the node indices.
-        let scc_graph = SccGraph::from_edges(&callees);
+        let scc_graph = CallGraph::from_edges(&callees);
         let comps = scc_graph.sccs();
 
         // Reachability closures (bitsets), summarized bottom-up over the
@@ -272,35 +272,26 @@ impl CorpusGraph {
         // every member of a cycle shares it.
         let words = n.div_ceil(64);
         let mut closure: Vec<Vec<u64>> = vec![vec![0u64; words]; n];
-        let mut surface: Vec<Surface> = (0..n)
-            .map(|i| {
-                externals[i]
-                    .iter()
-                    .filter_map(|e| Surface::of_source(e))
-                    .min()
-                    .unwrap_or(Surface::Local)
-            })
-            .collect();
         for comp in &comps {
             let mut bits = vec![0u64; words];
-            let mut surf = Surface::Local;
             for &m in comp {
                 bits[m / 64] |= 1 << (m % 64);
-                surf = surf.min(surface[m]);
                 for &c in &callees[m] {
                     if !comp.contains(&c) {
                         for (w, &cw) in bits.iter_mut().zip(&closure[c]) {
                             *w |= cw;
                         }
-                        surf = surf.min(surface[c]);
                     }
                 }
             }
             for &m in comp {
                 closure[m] = bits.clone();
-                surface[m] = surf;
             }
         }
+        // Cross-unit surfaces: the per-program classification's pass over
+        // the same condensation.
+        let seeds = externals.iter().map(|ext| Surface::of_calls(ext.iter().map(String::as_str)));
+        let surface = reachability::propagate(&scc_graph, &comps, seeds.collect());
         let downstream: Vec<usize> = closure
             .iter()
             .map(|bits| bits.iter().map(|w| w.count_ones() as usize).sum::<usize>() - 1)

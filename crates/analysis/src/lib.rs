@@ -51,5 +51,5 @@ pub use finding::{dedupe_findings, Confidence, Finding};
 pub use oracle::{
     DifferentialOracle, Disagreement, DisagreementKind, OracleConfig, OracleReport, View,
 };
-pub use reachability::{CallGraph, Surface};
+pub use reachability::Surface;
 pub use severity::{score, ScoredFinding};

@@ -1,13 +1,16 @@
-//! Call-graph reachability and attack-surface classification.
+//! Attack-surface classification over the program call graph.
 //!
 //! Figure 1 of the paper gates *manual security review* on threat modeling:
 //! "surfaces with zero-click or one-click surfaces trigger an additional
 //! phase of manual security review". This module derives that classification
-//! from which input sources a function's call subtree touches.
+//! from which input sources a function's call subtree touches, as one
+//! bottom-up pass over the strongly connected components of the shared
+//! [`CallGraph`] — the same pass for one program and for the corpus graph.
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
-use vulnman_lang::Program;
+use std::collections::{BTreeMap, BTreeSet};
+use vulnman_lang::absint::CallGraph;
+use vulnman_lang::{Function, Program};
 
 /// How much attacker interaction is needed to reach a code path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -26,122 +29,74 @@ const ZERO_CLICK_SOURCES: [&str; 4] = ["http_param", "recv", "get_request_field"
 /// Sources classified as one-click (local interaction).
 const ONE_CLICK_SOURCES: [&str; 3] = ["read_input", "getenv", "read_file"];
 
-/// Static call graph over a program's functions.
+/// Surface classification for every function of `program`, keyed by name:
+/// the most exposed input source its call subtree touches.
 ///
-/// Adjacency is stored in ordered maps/sets so that every traversal —
-/// `reachable_from`, `external_calls_in_subtree`, and anything serialized
-/// from them — iterates in a fixed order regardless of insertion order or
-/// hasher seed. This module was the last `HashMap` holdout from the PR 1
-/// determinism audit; the corpus graph built on top of it inherits the
-/// ordering guarantee.
-#[derive(Debug, Clone, Default)]
-pub struct CallGraph {
-    /// Adjacency: caller -> set of callees (only in-program functions).
-    edges: BTreeMap<String, BTreeSet<String>>,
-    /// All external (library) callees per function.
-    externals: BTreeMap<String, BTreeSet<String>>,
-    functions: Vec<String>,
+/// # Examples
+///
+/// ```
+/// # fn main() -> Result<(), vulnman_lang::ParseError> {
+/// use vulnman_analysis::reachability::{surfaces, Surface};
+/// let p = vulnman_lang::parse("void a() { b(); }\nvoid b() { char* q = recv(); use(q); }")?;
+/// let s = surfaces(&p);
+/// assert_eq!(s["a"], Surface::ZeroClick);
+/// # Ok(())
+/// # }
+/// ```
+pub fn surfaces(program: &Program) -> BTreeMap<String, Surface> {
+    let graph = CallGraph::build(program);
+    let propagated = propagate(&graph, &graph.sccs(), seeds(program));
+    program.functions.iter().map(|f| f.name.to_string()).zip(propagated).collect()
 }
 
-impl CallGraph {
-    /// Builds the call graph of `program`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// # fn main() -> Result<(), vulnman_lang::ParseError> {
-    /// use vulnman_analysis::reachability::CallGraph;
-    /// let p = vulnman_lang::parse("void a() { b(); }\nvoid b() { lib(); }")?;
-    /// let g = CallGraph::build(&p);
-    /// assert!(g.calls("a", "b"));
-    /// assert!(!g.calls("b", "a"));
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn build(program: &Program) -> CallGraph {
-        let defined: HashSet<&str> = program.functions.iter().map(|f| f.name.as_str()).collect();
-        let mut g = CallGraph::default();
-        for f in &program.functions {
-            g.functions.push(f.name.to_string());
-            let entry = g.edges.entry(f.name.to_string()).or_default();
-            let ext = g.externals.entry(f.name.to_string()).or_default();
-            for callee in f.callees() {
-                if defined.contains(callee.as_str()) {
-                    entry.insert(callee.to_string());
-                } else {
-                    ext.insert(callee.to_string());
-                }
-            }
+/// The most exposed surface of any function in `program`. Every function's
+/// subtree includes the function itself, so this is the most exposed seed
+/// and needs no call graph.
+pub fn most_exposed(program: &Program) -> Surface {
+    seeds(program).into_iter().min().unwrap_or(Surface::Local)
+}
+
+/// Each function's own surface before propagation: the most exposed input
+/// source among its external (undefined) callees.
+fn seeds(program: &Program) -> Vec<Surface> {
+    let defined: BTreeSet<&str> = program.functions.iter().map(|f| f.name.as_str()).collect();
+    let external = |c: &&str| !defined.contains(c);
+    let seed =
+        |f: &Function| Surface::of_calls(f.callees().iter().map(|c| c.as_str()).filter(external));
+    program.functions.iter().map(seed).collect()
+}
+
+/// Propagates surfaces bottom-up over `graph`, whose strongly connected
+/// components `sccs` are in bottom-up order ([`CallGraph::sccs`]): each node
+/// starts at its own `seeds` entry and ends at the most exposed surface it
+/// can reach, and all members of a call cycle share one surface. Serves both
+/// the per-program classification ([`surfaces`]) and the cross-unit one of
+/// the corpus graph.
+pub fn propagate(graph: &CallGraph, sccs: &[Vec<usize>], seeds: Vec<Surface>) -> Vec<Surface> {
+    let mut surface = seeds;
+    for comp in sccs {
+        // Callees outside the component are final already (they lie in
+        // earlier components); callees inside it still hold their seeds,
+        // which the component's own members contribute anyway.
+        let reached = comp.iter().flat_map(|&m| graph.callees(m).iter().copied().chain([m]));
+        let surf = reached.map(|i| surface[i]).min().unwrap_or(Surface::Local);
+        for &m in comp {
+            surface[m] = surf;
         }
-        g
     }
-
-    /// Returns `true` if `caller` directly calls `callee`.
-    pub fn calls(&self, caller: &str, callee: &str) -> bool {
-        self.edges.get(caller).is_some_and(|s| s.contains(callee))
-    }
-
-    /// Functions never called by another in-program function (entry points),
-    /// in sorted order.
-    pub fn roots(&self) -> Vec<String> {
-        let called: BTreeSet<&String> = self.edges.values().flatten().collect();
-        let mut roots: Vec<String> =
-            self.functions.iter().filter(|f| !called.contains(f)).cloned().collect();
-        roots.sort();
-        roots
-    }
-
-    /// All in-program functions transitively reachable from `start`
-    /// (including `start`), in sorted order.
-    pub fn reachable_from(&self, start: &str) -> BTreeSet<String> {
-        let mut seen = BTreeSet::new();
-        let mut queue = VecDeque::new();
-        if self.edges.contains_key(start) {
-            seen.insert(start.to_string());
-            queue.push_back(start.to_string());
-        }
-        while let Some(f) = queue.pop_front() {
-            if let Some(next) = self.edges.get(&f) {
-                for n in next {
-                    if seen.insert(n.clone()) {
-                        queue.push_back(n.clone());
-                    }
-                }
-            }
-        }
-        seen
-    }
-
-    /// External (library) functions called anywhere in `start`'s call
-    /// subtree, in sorted order.
-    pub fn external_calls_in_subtree(&self, start: &str) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        for f in self.reachable_from(start) {
-            if let Some(ext) = self.externals.get(&f) {
-                out.extend(ext.iter().cloned());
-            }
-        }
-        out
-    }
-
-    /// Classifies the attack surface of `function` by the most exposed input
-    /// source its call subtree touches.
-    pub fn surface(&self, function: &str) -> Surface {
-        let ext = self.external_calls_in_subtree(function);
-        ext.iter().filter_map(|s| Surface::of_source(s)).min().unwrap_or(Surface::Local)
-    }
-
-    /// Surface classification for every function, keyed in name order so
-    /// iterating callers (report renderers) stay deterministic.
-    pub fn surfaces(&self) -> BTreeMap<String, Surface> {
-        self.functions.iter().map(|f| (f.clone(), self.surface(f))).collect()
-    }
+    surface
 }
 
 impl Surface {
+    /// The most exposed input source among the external (library) call
+    /// names `calls`, or [`Surface::Local`] if none is one. The seed of a
+    /// function's surface before [`propagate`] adds what its callees reach.
+    pub fn of_calls<'a>(calls: impl IntoIterator<Item = &'a str>) -> Surface {
+        calls.into_iter().filter_map(Surface::of_source).min().unwrap_or(Surface::Local)
+    }
+
     /// Classifies a single external (library) call name as an input source,
-    /// or `None` if it is not one. Shared with the corpus graph so per-sample
-    /// and cross-sample surface classification agree.
+    /// or `None` if it is not one.
     pub fn of_source(name: &str) -> Option<Surface> {
         if ZERO_CLICK_SOURCES.contains(&name) {
             Some(Surface::ZeroClick)
@@ -172,54 +127,57 @@ mod tests {
     use super::*;
     use vulnman_lang::parse;
 
-    fn graph(src: &str) -> CallGraph {
-        CallGraph::build(&parse(src).unwrap())
-    }
-
-    #[test]
-    fn roots_are_uncalled_functions() {
-        let g = graph("void a() { b(); }\nvoid b() { }\nvoid main_loop() { a(); }");
-        assert_eq!(g.roots(), vec!["main_loop"]);
-    }
-
-    #[test]
-    fn roots_come_back_sorted_regardless_of_definition_order() {
-        let g = graph("void zeta() { }\nvoid alpha() { }\nvoid mid() { }");
-        assert_eq!(g.roots(), vec!["alpha", "mid", "zeta"]);
-    }
-
-    #[test]
-    fn traversals_iterate_in_sorted_order() {
-        let g = graph("void z() { b(); a(); }\nvoid b() { z_lib(); }\nvoid a() { a_lib(); }");
-        let reach: Vec<String> = g.reachable_from("z").into_iter().collect();
-        assert_eq!(reach, vec!["a", "b", "z"]);
-        let ext: Vec<String> = g.external_calls_in_subtree("z").into_iter().collect();
-        assert_eq!(ext, vec!["a_lib", "z_lib"]);
-    }
-
-    #[test]
-    fn transitive_reachability() {
-        let g = graph("void a() { b(); }\nvoid b() { c(); }\nvoid c() { }\nvoid d() { }");
-        let r = g.reachable_from("a");
-        assert!(r.contains("c"));
-        assert!(!r.contains("d"));
+    fn classify(src: &str) -> BTreeMap<String, Surface> {
+        surfaces(&parse(src).unwrap())
     }
 
     #[test]
     fn zero_click_via_transitive_source() {
-        let g = graph(
+        let s = classify(
             "void api() { helper(); }\nvoid helper() { char* x = http_param(\"q\"); use(x); }\nvoid tool() { char* x = getenv(\"HOME\"); use(x); }\nvoid pure() { compute(); }",
         );
-        assert_eq!(g.surface("api"), Surface::ZeroClick);
-        assert_eq!(g.surface("helper"), Surface::ZeroClick);
-        assert_eq!(g.surface("tool"), Surface::OneClick);
-        assert_eq!(g.surface("pure"), Surface::Local);
+        assert_eq!(s["api"], Surface::ZeroClick);
+        assert_eq!(s["helper"], Surface::ZeroClick);
+        assert_eq!(s["tool"], Surface::OneClick);
+        assert_eq!(s["pure"], Surface::Local);
     }
 
     #[test]
     fn zero_click_dominates_one_click() {
-        let g = graph("void f() { char* a = getenv(\"X\"); char* b = recv(); use(a, b); }");
-        assert_eq!(g.surface("f"), Surface::ZeroClick);
+        let s = classify("void f() { char* a = getenv(\"X\"); char* b = recv(); use(a, b); }");
+        assert_eq!(s["f"], Surface::ZeroClick);
+    }
+
+    #[test]
+    fn surfaces_are_keyed_in_name_order() {
+        let s = classify("void zeta() { }\nvoid alpha() { }\nvoid mid() { }");
+        assert_eq!(s.keys().collect::<Vec<_>>(), ["alpha", "mid", "zeta"]);
+    }
+
+    #[test]
+    fn defined_functions_are_not_sources() {
+        let s = classify("char* recv() { return 0; }\nvoid f() { char* x = recv(); use(x); }");
+        assert_eq!(s["f"], Surface::Local);
+    }
+
+    #[test]
+    fn recursive_cycle_shares_its_surface() {
+        let s = classify(
+            "void a() { b(); }\nvoid b() { a(); lib(); }\nvoid c() { a(); read_input(); }",
+        );
+        assert_eq!(s["a"], Surface::Local);
+        assert_eq!(s["b"], Surface::Local);
+        assert_eq!(s["c"], Surface::OneClick);
+        let s = classify("void a() { b(); }\nvoid b() { a(); recv(); }");
+        assert_eq!((s["a"], s["b"]), (Surface::ZeroClick, Surface::ZeroClick));
+    }
+
+    #[test]
+    fn most_exposed_is_the_minimum_surface() {
+        let p = parse("void a() { b(); }\nvoid b() { getenv(\"X\"); }\nvoid c() { }").unwrap();
+        assert_eq!(most_exposed(&p), Surface::OneClick);
+        assert_eq!(Some(most_exposed(&p)), surfaces(&p).into_values().min());
+        assert_eq!(most_exposed(&parse("void f() { g(); }").unwrap()), Surface::Local);
     }
 
     #[test]
@@ -233,13 +191,5 @@ mod tests {
     fn multipliers_order() {
         assert!(Surface::ZeroClick.severity_multiplier() > Surface::OneClick.severity_multiplier());
         assert!(Surface::OneClick.severity_multiplier() > Surface::Local.severity_multiplier());
-    }
-
-    #[test]
-    fn recursive_graph_terminates() {
-        let g = graph("void a() { b(); }\nvoid b() { a(); lib(); }");
-        let r = g.reachable_from("a");
-        assert_eq!(r.len(), 2);
-        assert!(g.external_calls_in_subtree("a").contains("lib"));
     }
 }

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use vulnman_analysis::autofix::AutoFixer;
 use vulnman_analysis::detectors::RuleEngine;
 use vulnman_analysis::finding::{Evidence, EvidenceFact, Finding};
-use vulnman_analysis::reachability::{CallGraph, Surface};
+use vulnman_analysis::reachability::{self, Surface};
 use vulnman_faults::{site_key, FaultConfig, FaultInjector, FaultKind, Site};
 use vulnman_lang::clone::{CloneConfig, CloneIndex, TokenAlignment};
 use vulnman_lang::hash::unit_f64;
@@ -1096,27 +1096,17 @@ impl WorkflowEngine {
         Some(Assessed { flagged, surface, findings, degradation: deg })
     }
 
-    /// Threat-model stage: surface of the sample's unit (most exposed
-    /// function), memoized per unique source content.
+    /// Threat-model stage: surface of the sample's unit (its most exposed
+    /// function), from the cached parse.
     fn classify_surface(
         &self,
         sample: &Sample,
         content_key: u64,
         cache: &AnalysisCache,
     ) -> Surface {
-        *cache.analysis_keyed(content_key, "surface", 0, || {
-            match cache.parse_keyed(content_key, &sample.source) {
-                Ok(program) => {
-                    let graph = CallGraph::build(&program);
-                    graph
-                        .surfaces()
-                        .into_values()
-                        .min() // ZeroClick < OneClick < Local
-                        .unwrap_or(Surface::Local)
-                }
-                Err(_) => Surface::Local,
-            }
-        })
+        cache
+            .parse_keyed(content_key, &sample.source)
+            .map_or(Surface::Local, |program| reachability::most_exposed(&program))
     }
 
     /// Folds per-case results into the aggregate report (labour totals,

@@ -1,5 +1,9 @@
 //! Program call graph and the bottom-up interprocedural analysis driver.
 //!
+//! [`CallGraph`] is the workspace's one call graph: the absint drivers, the
+//! taint engine ([`crate::taint`]), attack-surface classification and the
+//! corpus graph (both in `vulnman-analysis`) all walk it.
+//!
 //! Summaries are context-insensitive: one abstract return value per
 //! function, computed with callees analysed first (post-order over the call
 //! graph). Calls into functions not yet summarised — externals, or members
@@ -70,37 +74,50 @@ impl CallGraph {
     }
 
     /// Defined callees of function `i`, in first-call order.
-    pub(crate) fn callees(&self, i: usize) -> &[usize] {
+    pub fn callees(&self, i: usize) -> &[usize] {
         &self.callees[i]
     }
 
     /// Function indices in bottom-up order: every callee appears before
     /// each of its callers wherever the graph is acyclic; cycles are broken
     /// at the deterministic DFS back-edge (members keep their post-order).
-    /// This is the solve order of both semantic drivers: the batch driver
-    /// walks it directly, and the incremental driver orders cycle members
-    /// and delivers payloads by it.
+    /// Roots are tried in program order and callees in first-call order.
+    /// This is the solve order of both semantic drivers and of the taint
+    /// engine: the batch drivers walk it directly, and the incremental
+    /// driver orders cycle members and delivers payloads by it. Iterative,
+    /// like [`sccs`](Self::sccs), so a deep call chain cannot blow the
+    /// stack.
     pub fn bottom_up_order(&self) -> Vec<usize> {
-        let mut state = vec![0u8; self.len()]; // 0 new, 1 visiting, 2 done
+        let mut visited = vec![false; self.len()];
         let mut order = Vec::with_capacity(self.len());
-        for start in 0..self.len() {
-            self.post_order(start, &mut state, &mut order);
+        // Explicit DFS frames: (node, next-callee position).
+        let mut frames: Vec<(usize, usize)> = Vec::new();
+        for root in 0..self.len() {
+            if std::mem::replace(&mut visited[root], true) {
+                continue;
+            }
+            frames.push((root, 0));
+            while let Some(&mut (node, ref mut ci)) = frames.last_mut() {
+                if let Some(&c) = self.callees[node].get(*ci) {
+                    *ci += 1;
+                    if !std::mem::replace(&mut visited[c], true) {
+                        frames.push((c, 0));
+                    }
+                } else {
+                    frames.pop();
+                    order.push(node);
+                }
+            }
         }
         order
     }
 
-    fn post_order(&self, node: usize, state: &mut [u8], order: &mut Vec<usize>) {
-        if state[node] != 0 {
-            return;
-        }
-        state[node] = 1;
-        for &c in &self.callees[node] {
-            if state[c] == 0 {
-                self.post_order(c, state, order);
-            }
-        }
-        state[node] = 2;
-        order.push(node);
+    /// Whether any function can reach itself through calls: some strongly
+    /// connected component has more than one member, or some function
+    /// calls itself directly.
+    pub fn has_recursion(&self) -> bool {
+        self.sccs().iter().any(|c| c.len() > 1)
+            || self.callees.iter().enumerate().any(|(i, adj)| adj.contains(&i))
     }
 
     /// Strongly connected components of the call graph, in bottom-up
@@ -290,6 +307,29 @@ mod tests {
         assert!(pos("leaf") < pos("mid"));
         assert!(pos("mid") < pos("top_fn"));
         assert_eq!(cg.callees(2), [1, 0], "top_fn calls mid, then leaf");
+    }
+
+    #[test]
+    fn bottom_up_order_survives_a_deep_call_chain() {
+        // f0 calls f1 calls ... f(N-1): one DFS level per function, on a
+        // thread with a small stack.
+        const N: usize = 100_000;
+        let edges: Vec<Vec<usize>> =
+            (0..N).map(|i| if i + 1 < N { vec![i + 1] } else { vec![] }).collect();
+        let order = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || CallGraph::from_edges(&edges).bottom_up_order())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(order.iter().copied().eq((0..N).rev()), "callees first, root last");
+    }
+
+    #[test]
+    fn recursion_is_a_cycle_or_a_self_call() {
+        assert!(!CallGraph::from_edges(&[vec![1], vec![2], vec![]]).has_recursion());
+        assert!(CallGraph::from_edges(&[vec![0]]).has_recursion(), "self-call");
+        assert!(CallGraph::from_edges(&[vec![1], vec![2], vec![1]]).has_recursion(), "cycle");
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Control-flow graph construction.
 //!
 //! The AST's structured control flow is lowered to basic blocks of
-//! [`CfgInst`]s. The CFG is consumed by the data-flow framework
-//! ([`crate::dataflow`]), the taint engine ([`crate::taint`]), and the
-//! graph-feature extractors in the ML crate.
+//! [`CfgInst`]s. The CFG is consumed by the abstract-interpretation solver
+//! ([`crate::absint`]) and its incremental driver ([`crate::incremental`]),
+//! the semantic checkers in `vulnman-analysis`, the taint engine
+//! ([`crate::taint`]), and the code metrics ([`crate::metrics`]), whose
+//! cyclomatic complexity is one of the ML crate's features.
 
 use crate::ast::*;
 use crate::intern::Symbol;
@@ -151,45 +153,6 @@ impl Cfg {
             self.dfs_post(s, visited, order);
         }
         order.push(id);
-    }
-
-    /// Immediate-dominator-free dominator sets, computed by the classic
-    /// iterative algorithm. `result[b]` contains every block that dominates
-    /// `b` (including `b` itself). Unreachable blocks dominate nothing and
-    /// report only themselves.
-    pub fn dominators(&self) -> Vec<Vec<BlockId>> {
-        let n = self.blocks.len();
-        let all: Vec<BlockId> = (0..n).collect();
-        let mut dom: Vec<Vec<BlockId>> = vec![all; n];
-        dom[self.entry] = vec![self.entry];
-        let rpo = self.reverse_post_order();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &rpo {
-                if b == self.entry {
-                    continue;
-                }
-                let mut new: Option<Vec<BlockId>> = None;
-                for &p in &self.blocks[b].preds {
-                    let pd = &dom[p];
-                    new = Some(match new {
-                        None => pd.clone(),
-                        Some(cur) => cur.iter().copied().filter(|x| pd.contains(x)).collect(),
-                    });
-                }
-                let mut new = new.unwrap_or_default();
-                if !new.contains(&b) {
-                    new.push(b);
-                    new.sort_unstable();
-                }
-                if new != dom[b] {
-                    dom[b] = new;
-                    changed = true;
-                }
-            }
-        }
-        dom
     }
 
     /// Total instruction count across all blocks.
@@ -514,15 +477,6 @@ mod tests {
         // reachable from the continue edge.
         assert!(c.cyclomatic_complexity() >= 3);
         assert!(!c.reverse_post_order().is_empty());
-    }
-
-    #[test]
-    fn dominators_entry_dominates_all_reachable() {
-        let c = cfg_of("int f(int x) { if (x) { return 1; } return 0; }");
-        let dom = c.dominators();
-        for &b in &c.reverse_post_order() {
-            assert!(dom[b].contains(&c.entry), "entry should dominate block {b}");
-        }
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! so the dense form computes identical results. Findings are only
 //! materialized on the final pass; fixpoint rounds compute summaries alone.
 
+use crate::absint::CallGraph;
 use crate::ast::{Expr, ExprKind, Function, LValue, Program};
 use crate::cfg::{Cfg, CfgInst};
 use crate::hash::Fnv1a;
@@ -299,10 +300,11 @@ impl TaintAnalysis {
         let mut summaries: SummaryMap =
             program.functions.iter().map(|f| (f.name.to_string(), FnSummary::default())).collect();
         let units: Vec<FnUnit<'_>> = program.functions.iter().map(FnUnit::build).collect();
-        let (order, cyclic) = bottom_up_order(&units);
+        let graph = CallGraph::build(program);
+        let order = graph.bottom_up_order();
 
         let mut findings = Vec::new();
-        if !cyclic {
+        if !graph.has_recursion() {
             // Acyclic call graph (the overwhelmingly common case): in
             // callee-first order every summary a function consults is already
             // final, so one Gauss-Seidel sweep computes the exact fixpoint —
@@ -376,61 +378,6 @@ impl TaintAnalysis {
     pub fn function_has_finding(&self, function: &str) -> bool {
         self.findings.iter().any(|f| f.function == function)
     }
-}
-
-/// Computes a callee-first (post-order) traversal of the program's call
-/// graph and whether any call cycle (recursion) exists. The order is
-/// deterministic: roots are tried in program order and callee edges in
-/// first-occurrence order.
-fn bottom_up_order(units: &[FnUnit<'_>]) -> (Vec<usize>, bool) {
-    let n = units.len();
-    let mut index: HashMap<&str, usize, FnvBuildHasher> = HashMap::default();
-    for (i, u) in units.iter().enumerate() {
-        index.entry(u.func.name.as_str()).or_insert(i);
-    }
-    let mut callees: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (i, u) in units.iter().enumerate() {
-        u.func.walk_exprs(&mut |e| {
-            if let ExprKind::Call(name, _) = &e.kind {
-                if let Some(&j) = index.get(name.as_str()) {
-                    if !callees[i].contains(&j) {
-                        callees[i].push(j);
-                    }
-                }
-            }
-        });
-    }
-    let mut state = vec![0u8; n]; // 0 = unvisited, 1 = on stack, 2 = done
-    let mut order = Vec::with_capacity(n);
-    let mut cyclic = false;
-    let mut stack: Vec<(usize, usize)> = Vec::new();
-    for root in 0..n {
-        if state[root] != 0 {
-            continue;
-        }
-        state[root] = 1;
-        stack.push((root, 0));
-        while let Some(frame) = stack.last_mut() {
-            let node = frame.0;
-            if frame.1 < callees[node].len() {
-                let next = callees[node][frame.1];
-                frame.1 += 1;
-                match state[next] {
-                    0 => {
-                        state[next] = 1;
-                        stack.push((next, 0));
-                    }
-                    1 => cyclic = true, // back edge: direct or mutual recursion
-                    _ => {}
-                }
-            } else {
-                state[node] = 2;
-                order.push(node);
-                stack.pop();
-            }
-        }
-    }
-    (order, cyclic)
 }
 
 /// Analyzes a single function; returns its summary and (when

@@ -10,6 +10,7 @@
 //! ```
 
 use vulnman::analysis::detectors::RuleEngine;
+use vulnman::analysis::reachability::surfaces;
 use vulnman::analysis::severity::{score, triage_order};
 use vulnman::core::customize::SecurityStandard;
 use vulnman::prelude::*;
@@ -45,8 +46,7 @@ fn main() {
     let mut stock_fps = 0;
     for unit in &units {
         let program = parse(&unit.source).expect("generated code parses");
-        let graph = CallGraph::build(&program);
-        let surface = graph.surface(&unit.target_fn);
+        let surface = surfaces(&program).get(&unit.target_fn).copied().unwrap_or(Surface::Local);
 
         let stock_findings = stock.scan(&program);
         let custom_findings = customized.scan(&program);

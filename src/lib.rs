@@ -59,7 +59,7 @@ pub use vulnman_synth as synth;
 pub mod prelude {
     pub use vulnman_analysis::autofix::AutoFixer;
     pub use vulnman_analysis::detectors::RuleEngine;
-    pub use vulnman_analysis::reachability::{CallGraph, Surface};
+    pub use vulnman_analysis::reachability::Surface;
     pub use vulnman_core::costmodel::{price_deployment, CostParams};
     pub use vulnman_core::detector::{
         CombinePolicy, Detector, DetectorRegistry, MlDetector, RuleBasedDetector, SemanticDetector,

@@ -33,6 +33,7 @@
 
 use std::process::ExitCode;
 use vulnman::analysis::detectors::RuleEngine;
+use vulnman::analysis::reachability::surfaces;
 use vulnman::analysis::severity::{score, triage_order};
 use vulnman::core::sft::harvest;
 use vulnman::lang::interp::{run_program, InterpConfig};
@@ -189,12 +190,12 @@ fn cmd_scan(args: &[String]) -> Result<(), String> {
         engine = custom;
     }
 
-    let graph = CallGraph::build(&program);
+    let surfaces = surfaces(&program);
     let mut findings: Vec<_> = engine
         .scan(&program)
         .into_iter()
         .map(|f| {
-            let surface = graph.surface(&f.function);
+            let surface = surfaces.get(&f.function).copied().unwrap_or(Surface::Local);
             score(f, surface)
         })
         .collect();

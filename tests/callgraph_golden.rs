@@ -18,7 +18,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use vulnman::analysis::reachability::{CallGraph, Surface};
+use vulnman::analysis::reachability::{surfaces, Surface};
 use vulnman::lang::ast::{Function, Program};
 use vulnman::lang::hash::{fnv1a_seeded, FNV_OFFSET};
 use vulnman::prelude::*;
@@ -131,7 +131,7 @@ fn call_graph_results_match_the_committed_digest() {
 fn surfaces_match_the_bfs_reference() {
     for src in corpus_with_mutants() {
         let program = parse(&src).expect("corpus sample must parse");
-        let surfaces = CallGraph::build(&program).surfaces();
-        assert_eq!(surfaces, surface_reference(&program), "surface map diverges on:\n{src}");
+        let classified = surfaces(&program);
+        assert_eq!(classified, surface_reference(&program), "surface map diverges on:\n{src}");
     }
 }

@@ -3,6 +3,7 @@
 //! working together over generated corpora.
 
 use vulnman::analysis::fuzz::FuzzCampaign;
+use vulnman::analysis::reachability::surfaces;
 use vulnman::analysis::severity::score;
 use vulnman::core::customize::{PolicySeverity, SecurityStandard};
 use vulnman::core::triage::{sla_compliance, SlaPolicy, TriageQueue};
@@ -50,9 +51,9 @@ fn scan_to_triage_queue_end_to_end() {
     let mut pushed = 0usize;
     for (day, s) in ds.iter().enumerate() {
         let program = parse(&s.source).expect("parses");
-        let graph = CallGraph::build(&program);
+        let surfaces = surfaces(&program);
         for finding in engine.scan(&program) {
-            let surface = graph.surface(&finding.function);
+            let surface = surfaces.get(&finding.function).copied().unwrap_or(Surface::Local);
             let policy = standard.policy(finding.cwe);
             queue.push(score(finding, surface), policy, day as f64 / 4.0);
             pushed += 1;
