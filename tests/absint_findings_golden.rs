@@ -23,15 +23,29 @@ use vulnman::synth::mutate::{alpha_rename, insert_comments, insert_dead_statemen
 use vulnman::synth::templates::semantic::{semantic_gap_pair, GAP_CLASSES};
 
 /// Digest of every unit's findings and solver statistics, generated from
-/// the engine before the shared-framing and `Symbol`-keyed environment
-/// changes to the abstract-interpretation kernel.
-const GOLDEN_DIGEST: u64 = 0xa9e6_627d_b357_041f;
+/// the engine before the interval and width domains shared one set of
+/// transfer functions (and, for the earlier units, before the
+/// shared-framing and `Symbol`-keyed environment kernel changes).
+const GOLDEN_DIGEST: u64 = 0xa500_63c1_72dd_74a2;
 
 /// Checker paths no synthetic template reaches: a product proven to
-/// overflow 64 bits, and a pointer that is the literal null on every path.
-const HAND_WRITTEN: [&str; 2] = [
+/// overflow 64 bits, a pointer that is the literal null on every path, and
+/// width-domain transfer paths — a `!=` guard trimming a loop counter's
+/// range endpoint, an array declaration with a scalar initializer, logical
+/// not, negation, remainder and the `if (x)` fallthrough — each feeding a
+/// narrowing store whose width verdict depends on that path.
+const HAND_WRITTEN: [&str; 5] = [
     "int square_max() { int x = 9223372036854775807; int y = x * x; return y; }",
     "void poke() { char* p = 0; *p = 'a'; }",
+    concat!(
+        "void ne_guard(int n) { char c = 0; int i = 127; ",
+        "while (i < n) { i = i + 1; } if (i != 127) { c = i; } }"
+    ),
+    "void array_init() { int buf[4] = 1000; char c = buf; }",
+    concat!(
+        "void width_ops(int x) { char a = !x + 200; int k = 300; char b = -k; ",
+        "char d = x % 4 + 300; if (x) { return; } char c = x + 200; }"
+    ),
 ];
 
 /// The `hotpath_equivalence` corpus (every CWE family, both labels, mixed
