@@ -30,7 +30,7 @@ use vulnman_lang::absint::provenance::{KIND_COMMAND, KIND_FORMAT};
 use vulnman_lang::absint::{
     analyze_framed, CallGraph, Domain, DomainAnalysis, Env, Init, InitDomain, Interval,
     IntervalDomain, Nullness, NullnessDomain, Ownership, OwnershipDomain, Provenance,
-    ProvenanceDomain, SolverConfig, SolverStats, Width, WidthDomain,
+    ProvenanceDomain, SolverConfig, SolverStats, Summaries, Width, WidthDomain,
 };
 use vulnman_lang::ast::{BinOp, Expr, ExprKind, Function, LValue, Program, Type, UnOp};
 use vulnman_lang::cfg::{Cfg, CfgInst};
@@ -38,7 +38,7 @@ use vulnman_lang::hash::{fnv1a, fnv1a_seeded};
 use vulnman_lang::incremental::{
     analyze_program_incremental_in, IncrementalContext, IncrementalTrace,
 };
-use vulnman_lang::{AnalysisCache, Symbol};
+use vulnman_lang::AnalysisCache;
 use vulnman_obs::Registry;
 use vulnman_synth::cwe::Cwe;
 
@@ -79,7 +79,7 @@ pub struct IncrementalSemanticScan {
 }
 
 /// Builds a pass's domain from the callee summaries solved so far.
-type MakeDomain<D> = fn(&BTreeMap<Symbol, <D as Domain>::Value>) -> D;
+type MakeDomain<D> = fn(&Summaries<<D as Domain>::Value>) -> D;
 
 /// A per-function checker: inspects one solved function and appends its
 /// findings.
@@ -449,50 +449,6 @@ pub fn register_absint_instruments(metrics: &Registry) {
 // Instruction traversal helpers
 // ---------------------------------------------------------------------------
 
-/// Every expression syntactically contained in an instruction (lvalue
-/// sub-expressions included).
-fn inst_exprs(inst: &CfgInst) -> Vec<&Expr> {
-    match inst {
-        CfgInst::Decl { init, .. } => init.iter().collect(),
-        CfgInst::Assign { target, value } => {
-            let mut out = vec![value];
-            match target {
-                LValue::Var(_) => {}
-                LValue::Deref(e) => out.push(e),
-                LValue::Index(base, index) => {
-                    out.push(base);
-                    out.push(index);
-                }
-            }
-            out
-        }
-        CfgInst::Expr(e) | CfgInst::Branch(e) => vec![e],
-        CfgInst::Return(e) => e.iter().collect(),
-    }
-}
-
-/// Depth-first walk over an expression tree.
-fn walk<'a>(e: &'a Expr, f: &mut impl FnMut(&'a Expr)) {
-    f(e);
-    match &e.kind {
-        ExprKind::Unary(_, inner) => walk(inner, f),
-        ExprKind::Binary(_, l, r) => {
-            walk(l, f);
-            walk(r, f);
-        }
-        ExprKind::Call(_, args) => {
-            for a in args {
-                walk(a, f);
-            }
-        }
-        ExprKind::Index(base, index) => {
-            walk(base, f);
-            walk(index, f);
-        }
-        ExprKind::Int(_) | ExprKind::Char(_) | ExprKind::Str(_) | ExprKind::Var(_) => {}
-    }
-}
-
 /// One `base[index]` access with direction.
 struct IndexAccess<'a> {
     base: &'a str,
@@ -509,8 +465,8 @@ fn index_accesses(inst: &CfgInst) -> Vec<IndexAccess<'_>> {
             out.push(IndexAccess { base: name, index, is_write: true });
         }
     }
-    for e in inst_exprs(inst) {
-        walk(e, &mut |e| {
+    for e in inst.exprs() {
+        e.walk(&mut |e| {
             if let ExprKind::Index(base, index) = &e.kind {
                 if let ExprKind::Var(name) = &base.kind {
                     out.push(IndexAccess { base: name, index, is_write: false });
@@ -525,8 +481,8 @@ fn index_accesses(inst: &CfgInst) -> Vec<IndexAccess<'_>> {
 /// instruction.
 fn divisors(inst: &CfgInst) -> Vec<&Expr> {
     let mut out = Vec::new();
-    for e in inst_exprs(inst) {
-        walk(e, &mut |e| {
+    for e in inst.exprs() {
+        e.walk(&mut |e| {
             if let ExprKind::Binary(BinOp::Div | BinOp::Rem, _, r) = &e.kind {
                 out.push(&**r);
             }
@@ -544,8 +500,8 @@ fn deref_targets(inst: &CfgInst) -> BTreeSet<&str> {
             out.insert(name.as_str());
         }
     }
-    for e in inst_exprs(inst) {
-        walk(e, &mut |e| match &e.kind {
+    for e in inst.exprs() {
+        e.walk(&mut |e| match &e.kind {
             ExprKind::Unary(UnOp::Deref, inner) => {
                 if let ExprKind::Var(name) = &inner.kind {
                     out.insert(name.as_str());
@@ -601,94 +557,84 @@ fn check_intervals(
         }
     }
 
-    let reachable = cfg.reachable();
-    for (b, &live) in reachable.iter().enumerate() {
-        if !live {
-            continue;
-        }
-        for (pre, inst) in analysis.replay(domain, cfg, b) {
-            if !pre.is_reachable() {
+    for (pre, inst) in analysis.replay(domain, cfg) {
+        for access in index_accesses(&inst.inst) {
+            let Some(&len) = arrays.get(access.base) else { continue };
+            let iv = domain.eval(&pre, access.index);
+            // Must-style gate: report only when *every* possible index
+            // is outside `[0, len)` — a proof, not a possibility.
+            if iv.is_bottom() || (iv.lo() < len && iv.hi() >= 0) {
                 continue;
             }
-            for access in index_accesses(&inst.inst) {
-                let Some(&len) = arrays.get(access.base) else { continue };
-                let iv = domain.eval(&pre, access.index);
-                // Must-style gate: report only when *every* possible index
-                // is outside `[0, len)` — a proof, not a possibility.
-                if iv.is_bottom() || (iv.lo() < len && iv.hi() >= 0) {
-                    continue;
-                }
-                let (cwe, verb) = if access.is_write {
-                    (Cwe::OutOfBoundsWrite, "write to")
-                } else {
-                    (Cwe::OutOfBoundsRead, "read of")
-                };
-                let claim = format!(
-                    "index into `{}` is {iv}, entirely outside the valid range [0, {len})",
+            let (cwe, verb) = if access.is_write {
+                (Cwe::OutOfBoundsWrite, "write to")
+            } else {
+                (Cwe::OutOfBoundsRead, "read of")
+            };
+            let claim = format!(
+                "index into `{}` is {iv}, entirely outside the valid range [0, {len})",
+                access.base
+            );
+            out.push(Finding {
+                cwe,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-interval".into(),
+                message: format!(
+                    "{verb} `{}[...]` with an index proven out of bounds ({iv} vs length \
+                     {len})",
                     access.base
-                );
-                out.push(Finding {
-                    cwe,
-                    function: func.name.to_string(),
-                    span: inst.span,
-                    detector: "absint-interval".into(),
-                    message: format!(
-                        "{verb} `{}[...]` with an index proven out of bounds ({iv} vs length \
-                         {len})",
-                        access.base
-                    ),
-                    confidence: Confidence::High,
-                    evidence: Some(Evidence {
-                        domain: domain.name().into(),
-                        facts: facts_for(&pre, &[access.index]),
-                        claim,
-                    }),
-                });
+                ),
+                confidence: Confidence::High,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: facts_for(&pre, &[access.index]),
+                    claim,
+                }),
+            });
+        }
+        for divisor in divisors(&inst.inst) {
+            let dv = domain.eval(&pre, divisor);
+            if !dv.is_point(0) {
+                continue;
             }
-            for divisor in divisors(&inst.inst) {
-                let dv = domain.eval(&pre, divisor);
-                if !dv.is_point(0) {
-                    continue;
-                }
-                out.push(Finding {
-                    cwe: Cwe::DivideByZero,
-                    function: func.name.to_string(),
-                    span: inst.span,
-                    detector: "absint-interval".into(),
-                    message: "division by a divisor proven to be exactly zero".into(),
-                    confidence: Confidence::High,
-                    evidence: Some(Evidence {
-                        domain: domain.name().into(),
-                        facts: facts_for(&pre, &[divisor]),
-                        claim: "the divisor evaluates to [0, 0] on every path reaching this \
-                                division"
-                            .into(),
-                    }),
-                });
+            out.push(Finding {
+                cwe: Cwe::DivideByZero,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-interval".into(),
+                message: "division by a divisor proven to be exactly zero".into(),
+                confidence: Confidence::High,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: facts_for(&pre, &[divisor]),
+                    claim: "the divisor evaluates to [0, 0] on every path reaching this \
+                            division"
+                        .into(),
+                }),
+            });
+        }
+        if let CfgInst::Decl { init: Some(value), .. } | CfgInst::Assign { value, .. } = &inst.inst
+        {
+            let v = domain.eval(&pre, value);
+            if v.fits_i64() {
+                continue;
             }
-            if let CfgInst::Decl { init: Some(value), .. } | CfgInst::Assign { value, .. } =
-                &inst.inst
-            {
-                let v = domain.eval(&pre, value);
-                if v.fits_i64() {
-                    continue;
-                }
-                out.push(Finding {
-                    cwe: Cwe::IntegerOverflow,
-                    function: func.name.to_string(),
-                    span: inst.span,
-                    detector: "absint-interval".into(),
-                    message: format!(
-                        "assigned value {v} lies entirely outside the 64-bit integer range"
-                    ),
-                    confidence: Confidence::High,
-                    evidence: Some(Evidence {
-                        domain: domain.name().into(),
-                        facts: facts_for(&pre, &[value]),
-                        claim: format!("the assigned expression evaluates to {v}"),
-                    }),
-                });
-            }
+            out.push(Finding {
+                cwe: Cwe::IntegerOverflow,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-interval".into(),
+                message: format!(
+                    "assigned value {v} lies entirely outside the 64-bit integer range"
+                ),
+                confidence: Confidence::High,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: facts_for(&pre, &[value]),
+                    claim: format!("the assigned expression evaluates to {v}"),
+                }),
+            });
         }
     }
 }
@@ -704,46 +650,37 @@ fn check_nullness(
     analysis: &DomainAnalysis<Nullness>,
     out: &mut Vec<Finding>,
 ) {
-    let reachable = cfg.reachable();
     // One finding per variable per function: later dereferences of the same
     // null pointer add no information.
     let mut reported: BTreeSet<String> = BTreeSet::new();
-    for (b, &live) in reachable.iter().enumerate() {
-        if !live {
-            continue;
-        }
-        for (pre, inst) in analysis.replay(domain, cfg, b) {
-            if !pre.is_reachable() {
+    for (pre, inst) in analysis.replay(domain, cfg) {
+        for name in deref_targets(&inst.inst) {
+            let v = pre.get(name);
+            if !v.is_derefable_bug() || reported.contains(name) {
                 continue;
             }
-            for name in deref_targets(&inst.inst) {
-                let v = pre.get(name);
-                if !v.is_derefable_bug() || reported.contains(name) {
-                    continue;
-                }
-                reported.insert(name.to_string());
-                let (confidence, how) = match v {
-                    Nullness::Null => (Confidence::High, "is the literal null on every path"),
-                    _ => (
-                        Confidence::Medium,
-                        "may be the literal null: a null-valued path \
-                           merges in unguarded",
-                    ),
-                };
-                out.push(Finding {
-                    cwe: Cwe::NullDereference,
-                    function: func.name.to_string(),
-                    span: inst.span,
-                    detector: "absint-nullness".into(),
-                    message: format!("dereference of `{name}`, which {how}"),
-                    confidence,
-                    evidence: Some(Evidence {
-                        domain: domain.name().into(),
-                        facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
-                        claim: format!("`{name}` is {v} at the dereference"),
-                    }),
-                });
-            }
+            reported.insert(name.to_string());
+            let (confidence, how) = match v {
+                Nullness::Null => (Confidence::High, "is the literal null on every path"),
+                _ => (
+                    Confidence::Medium,
+                    "may be the literal null: a null-valued path \
+                       merges in unguarded",
+                ),
+            };
+            out.push(Finding {
+                cwe: Cwe::NullDereference,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-nullness".into(),
+                message: format!("dereference of `{name}`, which {how}"),
+                confidence,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
+                    claim: format!("`{name}` is {v} at the dereference"),
+                }),
+            });
         }
     }
 }
@@ -759,44 +696,35 @@ fn check_init(
     analysis: &DomainAnalysis<Init>,
     out: &mut Vec<Finding>,
 ) {
-    let reachable = cfg.reachable();
     let mut reported: BTreeSet<String> = BTreeSet::new();
-    for (b, &live) in reachable.iter().enumerate() {
-        if !live {
-            continue;
-        }
-        for (pre, inst) in analysis.replay(domain, cfg, b) {
-            if !pre.is_reachable() {
+    for (pre, inst) in analysis.replay(domain, cfg) {
+        for name in inst_reads(&inst.inst) {
+            let v = pre.get(name);
+            if !v.is_read_bug() || reported.contains(name) {
                 continue;
             }
-            for name in inst_reads(&inst.inst) {
-                let v = pre.get(name);
-                if !v.is_read_bug() || reported.contains(name) {
-                    continue;
-                }
-                reported.insert(name.to_string());
-                let (confidence, how) = match v {
-                    Init::No => (Confidence::High, "is never initialized before this read"),
-                    _ => (
-                        Confidence::Medium,
-                        "is uninitialized on at least one path to this \
-                           read",
-                    ),
-                };
-                out.push(Finding {
-                    cwe: Cwe::UninitializedUse,
-                    function: func.name.to_string(),
-                    span: inst.span,
-                    detector: "absint-init".into(),
-                    message: format!("read of `{name}`, which {how}"),
-                    confidence,
-                    evidence: Some(Evidence {
-                        domain: domain.name().into(),
-                        facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
-                        claim: format!("`{name}` is {v} at the read"),
-                    }),
-                });
-            }
+            reported.insert(name.to_string());
+            let (confidence, how) = match v {
+                Init::No => (Confidence::High, "is never initialized before this read"),
+                _ => (
+                    Confidence::Medium,
+                    "is uninitialized on at least one path to this \
+                       read",
+                ),
+            };
+            out.push(Finding {
+                cwe: Cwe::UninitializedUse,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-init".into(),
+                message: format!("read of `{name}`, which {how}"),
+                confidence,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
+                    claim: format!("`{name}` is {v} at the read"),
+                }),
+            });
         }
     }
 }
@@ -809,8 +737,8 @@ fn check_init(
 /// call's first argument, when it is a plain variable).
 fn freed_vars(inst: &CfgInst) -> BTreeSet<&str> {
     let mut out = BTreeSet::new();
-    for e in inst_exprs(inst) {
-        walk(e, &mut |e| {
+    for e in inst.exprs() {
+        e.walk(&mut |e| {
             if let ExprKind::Call(name, args) = &e.kind {
                 if FREE_FNS.contains(&name.as_str()) {
                     if let Some(Expr { kind: ExprKind::Var(v), .. }) = args.first() {
@@ -832,80 +760,71 @@ fn check_ownership(
     analysis: &DomainAnalysis<Ownership>,
     out: &mut Vec<Finding>,
 ) {
-    let reachable = cfg.reachable();
     // One finding per (variable, class) per function.
     let mut reported: BTreeSet<(String, u32)> = BTreeSet::new();
-    for (b, &live) in reachable.iter().enumerate() {
-        if !live {
-            continue;
-        }
-        for (pre, inst) in analysis.replay(domain, cfg, b) {
-            if !pre.is_reachable() {
+    for (pre, inst) in analysis.replay(domain, cfg) {
+        let freed_here = freed_vars(&inst.inst);
+        // A release of a handle that is already dead is a double free.
+        for name in &freed_here {
+            let v = pre.get(name);
+            let (confidence, how) = if v.free_is_proven_bug() {
+                let how = match v {
+                    Ownership::Moved => "whose ownership was already handed off",
+                    _ => "already released on every path",
+                };
+                (Confidence::High, how)
+            } else if v.free_is_possible_bug() {
+                (Confidence::Medium, "already released on at least one path")
+            } else {
+                continue;
+            };
+            if !reported.insert((name.to_string(), Cwe::DoubleFree.id())) {
                 continue;
             }
-            let freed_here = freed_vars(&inst.inst);
-            // A release of a handle that is already dead is a double free.
-            for name in &freed_here {
-                let v = pre.get(name);
-                let (confidence, how) = if v.free_is_proven_bug() {
-                    let how = match v {
-                        Ownership::Moved => "whose ownership was already handed off",
-                        _ => "already released on every path",
-                    };
-                    (Confidence::High, how)
-                } else if v.free_is_possible_bug() {
-                    (Confidence::Medium, "already released on at least one path")
-                } else {
-                    continue;
-                };
-                if !reported.insert((name.to_string(), Cwe::DoubleFree.id())) {
-                    continue;
-                }
-                out.push(Finding {
-                    cwe: Cwe::DoubleFree,
-                    function: func.name.to_string(),
-                    span: inst.span,
-                    detector: "absint-ownership".into(),
-                    message: format!("release of `{name}`, {how}"),
-                    confidence,
-                    evidence: Some(Evidence {
-                        domain: domain.name().into(),
-                        facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
-                        claim: format!("`{name}` is {v} when released again"),
-                    }),
-                });
+            out.push(Finding {
+                cwe: Cwe::DoubleFree,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-ownership".into(),
+                message: format!("release of `{name}`, {how}"),
+                confidence,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
+                    claim: format!("`{name}` is {v} when released again"),
+                }),
+            });
+        }
+        // Any other read of a dead handle is a use after free. The
+        // release itself was reported above as the double free.
+        for name in inst_reads(&inst.inst) {
+            if freed_here.contains(name) {
+                continue;
             }
-            // Any other read of a dead handle is a use after free. The
-            // release itself was reported above as the double free.
-            for name in inst_reads(&inst.inst) {
-                if freed_here.contains(name) {
-                    continue;
-                }
-                let v = pre.get(name);
-                let (confidence, how) = if v.use_is_proven_bug() {
-                    (Confidence::High, "released on every path reaching this use")
-                } else if v.use_is_possible_bug() {
-                    (Confidence::Medium, "released on at least one path reaching this use")
-                } else {
-                    continue;
-                };
-                if !reported.insert((name.to_string(), Cwe::UseAfterFree.id())) {
-                    continue;
-                }
-                out.push(Finding {
-                    cwe: Cwe::UseAfterFree,
-                    function: func.name.to_string(),
-                    span: inst.span,
-                    detector: "absint-ownership".into(),
-                    message: format!("use of `{name}`, {how}"),
-                    confidence,
-                    evidence: Some(Evidence {
-                        domain: domain.name().into(),
-                        facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
-                        claim: format!("`{name}` is {v} at the use"),
-                    }),
-                });
+            let v = pre.get(name);
+            let (confidence, how) = if v.use_is_proven_bug() {
+                (Confidence::High, "released on every path reaching this use")
+            } else if v.use_is_possible_bug() {
+                (Confidence::Medium, "released on at least one path reaching this use")
+            } else {
+                continue;
+            };
+            if !reported.insert((name.to_string(), Cwe::UseAfterFree.id())) {
+                continue;
             }
+            out.push(Finding {
+                cwe: Cwe::UseAfterFree,
+                function: func.name.to_string(),
+                span: inst.span,
+                detector: "absint-ownership".into(),
+                message: format!("use of `{name}`, {how}"),
+                confidence,
+                evidence: Some(Evidence {
+                    domain: domain.name().into(),
+                    facts: vec![EvidenceFact { var: name.to_string(), value: v.to_string() }],
+                    claim: format!("`{name}` is {v} at the use"),
+                }),
+            });
         }
     }
     // The ownership pass also hosts the path-sensitive TOCTOU checker,
@@ -942,8 +861,8 @@ fn toctou_events(cfg: &Cfg) -> Vec<Vec<ToctouEvent<'_>>> {
         .map(|block| {
             let mut events = Vec::new();
             for inst in &block.insts {
-                for e in inst_exprs(&inst.inst) {
-                    walk(e, &mut |e| {
+                for e in inst.inst.exprs() {
+                    e.walk(&mut |e| {
                         if let ExprKind::Call(name, args) = &e.kind {
                             let Some(Expr { kind: ExprKind::Var(v), .. }) = args.first() else {
                                 return;
@@ -969,41 +888,87 @@ fn toctou_events(cfg: &Cfg) -> Vec<Vec<ToctouEvent<'_>>> {
         .collect()
 }
 
+/// The first of `events` that ends a check→use window of `var`: a use of
+/// it or a kill of it.
+fn toctou_first<'a>(events: &[ToctouEvent<'a>], var: &str) -> Option<ToctouEvent<'a>> {
+    events
+        .iter()
+        .copied()
+        .find(|ev| matches!(ev, ToctouEvent::Use(v, ..) | ToctouEvent::Kill(v) if *v == var))
+}
+
+/// Blocks from whose start some path reaches a use of `var` before any kill
+/// of it: a backward worklist from the blocks whose first `var` event is a
+/// use, through predecessors with no `var` event at all.
+fn toctou_live(cfg: &Cfg, events: &[Vec<ToctouEvent<'_>>], var: &str) -> Vec<bool> {
+    let first: Vec<_> = events.iter().map(|block| toctou_first(block, var)).collect();
+    let mut live: Vec<bool> =
+        first.iter().map(|ev| matches!(ev, Some(ToctouEvent::Use(..)))).collect();
+    let mut work: Vec<usize> = (0..live.len()).filter(|&b| live[b]).collect();
+    while let Some(b) = work.pop() {
+        for &p in &cfg.blocks[b].preds {
+            if !live[p] && first[p].is_none() {
+                live[p] = true;
+                work.push(p);
+            }
+        }
+    }
+    live
+}
+
 /// Depth-first enumeration of acyclic check→use interleavings for `var`,
-/// starting at `events[b][start]`. Each discovered path ends at its first
-/// use (recorded in `uses`) or dies at a kill.
-#[allow(clippy::too_many_arguments)]
-fn toctou_dfs<'a>(
+/// starting at `events[b][start]` and trying successors in edge order.
+/// Each path ends at its first use (returned with its callee) or dies at a
+/// kill. Successors that are not `live` are skipped: every path through
+/// them dies, so the uses and the path count are those of the full
+/// enumeration. The search stops once [`TOCTOU_PATH_CAP`] paths reached a
+/// use, and keeps explicit frames, so a long block chain cannot overflow
+/// the stack.
+fn toctou_paths<'a>(
     cfg: &Cfg,
     events: &[Vec<ToctouEvent<'a>>],
     var: &str,
+    live: &[bool],
     b: usize,
     start: usize,
-    visited: &mut Vec<bool>,
-    uses: &mut Vec<(vulnman_lang::Span, &'a str)>,
-    paths: &mut u32,
-) {
-    if *paths >= TOCTOU_PATH_CAP {
-        return;
+) -> (Vec<(vulnman_lang::Span, &'a str)>, u32) {
+    match toctou_first(&events[b][start..], var) {
+        Some(ToctouEvent::Use(_, callee, span)) => return (vec![(span, callee)], 1),
+        Some(_) => return (Vec::new(), 0),
+        None => {}
     }
-    for ev in &events[b][start..] {
-        match ev {
-            ToctouEvent::Use(v, callee, span) if *v == var => {
-                *paths += 1;
-                uses.push((*span, callee));
-                return;
+    let mut uses = Vec::new();
+    let mut paths = 0u32;
+    let mut on_path = vec![false; cfg.blocks.len()];
+    on_path[b] = true;
+    // Explicit DFS frames: (block, next-successor position).
+    let mut frames = vec![(b, 0)];
+    while let Some(&mut (block, ref mut si)) = frames.last_mut() {
+        if paths >= TOCTOU_PATH_CAP {
+            break;
+        }
+        let Some(&succ) = cfg.blocks[block].succs.get(*si) else {
+            frames.pop();
+            on_path[block] = false;
+            continue;
+        };
+        *si += 1;
+        if on_path[succ] || !live[succ] {
+            continue;
+        }
+        match toctou_first(&events[succ], var) {
+            Some(ToctouEvent::Use(_, callee, span)) => {
+                paths += 1;
+                uses.push((span, callee));
             }
-            ToctouEvent::Kill(v) if *v == var => return,
-            _ => {}
+            Some(_) => {}
+            None => {
+                on_path[succ] = true;
+                frames.push((succ, 0));
+            }
         }
     }
-    for &succ in &cfg.blocks[b].succs {
-        if !visited[succ] {
-            visited[succ] = true;
-            toctou_dfs(cfg, events, var, succ, 0, visited, uses, paths);
-            visited[succ] = false;
-        }
-    }
+    (uses, paths)
 }
 
 /// Enumerates check/use interleavings over the CFG: from every
@@ -1025,11 +990,8 @@ fn check_toctou(func: &Function, cfg: &Cfg, out: &mut Vec<Finding>) {
             if reported.contains(*var) {
                 continue;
             }
-            let mut visited = vec![false; cfg.blocks.len()];
-            visited[b] = true;
-            let mut uses = Vec::new();
-            let mut paths = 0u32;
-            toctou_dfs(cfg, &events, var, b, i + 1, &mut visited, &mut uses, &mut paths);
+            let live = toctou_live(cfg, &events, var);
+            let (mut uses, paths) = toctou_paths(cfg, &events, var, &live, b, i + 1);
             if paths == 0 {
                 continue;
             }
@@ -1093,50 +1055,41 @@ fn check_width(
         return;
     }
 
-    let reachable = cfg.reachable();
     let mut reported: BTreeSet<String> = BTreeSet::new();
-    for (b, &live) in reachable.iter().enumerate() {
-        if !live {
+    for (pre, inst) in analysis.replay(domain, cfg) {
+        let (dest, value) = match &inst.inst {
+            CfgInst::Decl { name, ty: Type::Char, init: Some(value) } => (name, value),
+            CfgInst::Assign { target: LValue::Var(name), value }
+                if chars.contains(name.as_str()) =>
+            {
+                (name, value)
+            }
+            _ => continue,
+        };
+        let v = domain.eval(&pre, value);
+        // Must-style gate: only a range entirely outside the 8-bit
+        // window proves the store truncates; may-truncation stays quiet.
+        if !v.provably_exceeds_bits(8) || reported.contains(dest.as_str()) {
             continue;
         }
-        for (pre, inst) in analysis.replay(domain, cfg, b) {
-            if !pre.is_reachable() {
-                continue;
-            }
-            let (dest, value) = match &inst.inst {
-                CfgInst::Decl { name, ty: Type::Char, init: Some(value) } => (name, value),
-                CfgInst::Assign { target: LValue::Var(name), value }
-                    if chars.contains(name.as_str()) =>
-                {
-                    (name, value)
-                }
-                _ => continue,
-            };
-            let v = domain.eval(&pre, value);
-            // Must-style gate: only a range entirely outside the 8-bit
-            // window proves the store truncates; may-truncation stays quiet.
-            if !v.provably_exceeds_bits(8) || reported.contains(dest.as_str()) {
-                continue;
-            }
-            reported.insert(dest.to_string());
-            out.push(Finding {
-                cwe: Cwe::IntegerTruncation,
-                function: func.name.to_string(),
-                span: inst.span,
-                detector: "absint-width".into(),
-                message: format!(
-                    "store into 8-bit `{dest}` of a value proven outside the char range ({v})"
+        reported.insert(dest.to_string());
+        out.push(Finding {
+            cwe: Cwe::IntegerTruncation,
+            function: func.name.to_string(),
+            span: inst.span,
+            detector: "absint-width".into(),
+            message: format!(
+                "store into 8-bit `{dest}` of a value proven outside the char range ({v})"
+            ),
+            confidence: Confidence::High,
+            evidence: Some(Evidence {
+                domain: domain.name().into(),
+                facts: facts_for(&pre, &[value]),
+                claim: format!(
+                    "the stored expression evaluates to {v}, entirely outside [-128, 127]"
                 ),
-                confidence: Confidence::High,
-                evidence: Some(Evidence {
-                    domain: domain.name().into(),
-                    facts: facts_for(&pre, &[value]),
-                    claim: format!(
-                        "the stored expression evaluates to {v}, entirely outside [-128, 127]"
-                    ),
-                }),
-            });
-        }
+            }),
+        });
     }
 }
 
@@ -1161,57 +1114,48 @@ fn check_sinks(
     analysis: &DomainAnalysis<Provenance>,
     out: &mut Vec<Finding>,
 ) {
-    let reachable = cfg.reachable();
     let mut reported: BTreeSet<(u32, u32)> = BTreeSet::new();
-    for (b, &live) in reachable.iter().enumerate() {
-        if !live {
-            continue;
-        }
-        for (pre, inst) in analysis.replay(domain, cfg, b) {
-            if !pre.is_reachable() {
-                continue;
-            }
-            for e in inst_exprs(&inst.inst) {
-                walk(e, &mut |e| {
-                    let ExprKind::Call(name, args) = &e.kind else { return };
-                    let Some((_, kind_bit, cwe, kind_name)) =
-                        PROVENANCE_SINKS.iter().find(|(sink, ..)| sink == name)
-                    else {
-                        return;
-                    };
-                    let Some(arg) = args.first() else { return };
-                    let v = domain.eval(&pre, arg);
-                    let (confidence, how) = if v.sink_is_proven_bug(*kind_bit) {
-                        (Confidence::High, "on every path")
-                    } else if v.sink_is_possible_bug(*kind_bit) {
-                        (Confidence::Medium, "on at least one path")
-                    } else {
-                        return;
-                    };
-                    if !reported.insert((inst.span.start as u32, cwe.id())) {
-                        return;
-                    }
-                    out.push(Finding {
-                        cwe: *cwe,
-                        function: func.name.to_string(),
-                        span: inst.span,
-                        detector: "absint-provenance".into(),
-                        message: format!(
-                            "attacker-controlled data reaches the {kind_name} position of \
-                             `{name}` {how}, never sanitized for `{kind_name}`"
+    for (pre, inst) in analysis.replay(domain, cfg) {
+        for e in inst.inst.exprs() {
+            e.walk(&mut |e| {
+                let ExprKind::Call(name, args) = &e.kind else { return };
+                let Some((_, kind_bit, cwe, kind_name)) =
+                    PROVENANCE_SINKS.iter().find(|(sink, ..)| sink == name)
+                else {
+                    return;
+                };
+                let Some(arg) = args.first() else { return };
+                let v = domain.eval(&pre, arg);
+                let (confidence, how) = if v.sink_is_proven_bug(*kind_bit) {
+                    (Confidence::High, "on every path")
+                } else if v.sink_is_possible_bug(*kind_bit) {
+                    (Confidence::Medium, "on at least one path")
+                } else {
+                    return;
+                };
+                if !reported.insert((inst.span.start as u32, cwe.id())) {
+                    return;
+                }
+                out.push(Finding {
+                    cwe: *cwe,
+                    function: func.name.to_string(),
+                    span: inst.span,
+                    detector: "absint-provenance".into(),
+                    message: format!(
+                        "attacker-controlled data reaches the {kind_name} position of \
+                         `{name}` {how}, never sanitized for `{kind_name}`"
+                    ),
+                    confidence,
+                    evidence: Some(Evidence {
+                        domain: domain.name().into(),
+                        facts: facts_for(&pre, &[arg]),
+                        claim: format!(
+                            "the argument is {v} at the `{name}` sink — its sanitizer mask \
+                             never covered `{kind_name}`"
                         ),
-                        confidence,
-                        evidence: Some(Evidence {
-                            domain: domain.name().into(),
-                            facts: facts_for(&pre, &[arg]),
-                            claim: format!(
-                                "the argument is {v} at the `{name}` sink — its sanitizer mask \
-                                 never covered `{kind_name}`"
-                            ),
-                        }),
-                    });
+                    }),
                 });
-            }
+            });
         }
     }
 }
@@ -1483,6 +1427,53 @@ mod tests {
             )
             .unwrap();
         assert!(findings.iter().all(|f| f.cwe != Cwe::Toctou), "{findings:?}");
+    }
+
+    /// A `file_exists(p)` check, `k` sequential `if (x) { x = 1; }`
+    /// statements (2^k acyclic paths), then `tail`.
+    fn toctou_chain(k: usize, tail: &str) -> String {
+        let ifs = "if (x) { x = 1; } ".repeat(k);
+        format!("void f(int x) {{ char* p = read_input(); int ok = file_exists(p); {ifs}{tail} }}")
+    }
+
+    fn toctou_findings(src: &str) -> Vec<Finding> {
+        let program = parse(src).unwrap();
+        let func = &program.functions[0];
+        let mut out = Vec::new();
+        check_toctou(func, &Cfg::build(func), &mut out);
+        out
+    }
+
+    #[test]
+    fn toctou_search_skips_branches_that_reach_no_use() {
+        // 2^40 acyclic paths and no use of `p` on any of them.
+        assert_eq!(toctou_findings(&toctou_chain(40, "")), []);
+    }
+
+    #[test]
+    fn toctou_search_still_counts_interleavings_up_to_the_cap() {
+        let findings = toctou_findings(&toctou_chain(40, "int fd = open_file(p);"));
+        let [f] = &findings[..] else { panic!("one TOCTOU finding expected: {findings:?}") };
+        let claim = &f.evidence.as_ref().expect("evidence attached").claim;
+        assert!(claim.starts_with("at least 64 interleaving(s) reach `open_file(p)`"), "{claim}");
+        let findings = toctou_findings(&toctou_chain(3, "int fd = open_file(p);"));
+        let claim = &findings[0].evidence.as_ref().expect("evidence attached").claim;
+        assert!(claim.starts_with("8 interleaving(s)"), "one window per path: {claim}");
+    }
+
+    #[test]
+    fn toctou_search_survives_a_long_block_chain() {
+        // One DFS level per block of a ~40 000-block chain, on a thread with
+        // a small stack.
+        let src = toctou_chain(20_000, "int fd = open_file(p);");
+        let findings = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || toctou_findings(&src))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].cwe, Cwe::Toctou);
     }
 
     #[test]

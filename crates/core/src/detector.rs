@@ -693,21 +693,9 @@ impl DetectorRegistry {
         self.applicable(sample).map(|(i, d)| self.observed(i, || d.assess(sample))).collect()
     }
 
-    /// Runs every applicable detector through a shared analysis cache.
-    /// Assessments are identical to [`DetectorRegistry::assess_all`].
-    pub fn assess_all_cached(
-        &self,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> Vec<Assessment> {
-        self.applicable(sample)
-            .map(|(i, d)| self.observed(i, || d.assess_cached(sample, cache)))
-            .collect()
-    }
-
-    /// [`DetectorRegistry::assess_all_cached`] with a precomputed content
-    /// key, so every cache-aware detector shares one hash of the sample
-    /// source. Assessments are identical to
+    /// Runs every applicable detector through a shared analysis cache, with
+    /// a precomputed content key so every cache-aware detector shares one
+    /// hash of the sample source. Assessments are identical to
     /// [`DetectorRegistry::assess_all`].
     pub fn assess_all_cached_keyed(
         &self,
@@ -726,18 +714,9 @@ impl DetectorRegistry {
         self.combine(self.assess_all(sample))
     }
 
-    /// Cache-assisted [`DetectorRegistry::verdict`]; the verdict and the
-    /// assessments are identical, only repeated work is skipped.
-    pub fn verdict_cached(
-        &self,
-        sample: &Sample,
-        cache: &vulnman_lang::AnalysisCache,
-    ) -> (bool, Vec<Assessment>) {
-        self.combine(self.assess_all_cached(sample, cache))
-    }
-
-    /// Keyed [`DetectorRegistry::verdict_cached`]: identical verdict and
-    /// assessments, with the sample source hashed once by the caller.
+    /// Cache-assisted [`DetectorRegistry::verdict`]: the verdict and the
+    /// assessments are identical, only repeated work is skipped, and the
+    /// sample source is hashed once by the caller.
     pub fn verdict_cached_keyed(
         &self,
         sample: &Sample,

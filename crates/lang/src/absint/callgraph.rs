@@ -17,12 +17,13 @@
 //! to [`analyze_framed`] for every pass; [`analyze_program`] is the
 //! single-pass convenience that frames and runs in one call.
 
-use super::domain::{AbstractValue, Domain, Env};
+use super::domain::{AbstractValue, Domain, Env, Summaries};
 use super::solver::{DomainAnalysis, Solver, SolverConfig, SolverStats};
 use crate::ast::{Function, Program};
 use crate::cfg::{Cfg, CfgInst};
 use crate::intern::Symbol;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// A directed call graph over the functions defined in a [`Program`], with
 /// nodes numbered like `program.functions`. Edges to undefined (external)
@@ -197,7 +198,8 @@ pub struct ProgramAnalysis<V> {
 
 /// Analyses every function of `program` bottom-up, building interprocedural
 /// summaries as it goes. `make_domain` constructs the domain for a function
-/// from the summaries of everything analysed so far; `visit` is invoked per
+/// from the summaries of everything analysed so far — always the same
+/// shared table, extended in place after each function; `visit` is invoked per
 /// function with its CFG, the domain it was solved under, and the solution —
 /// this is where checkers inspect per-instruction states via
 /// [`DomainAnalysis::replay`].
@@ -213,7 +215,7 @@ pub fn analyze_program<D, M, F>(
 ) -> ProgramAnalysis<D::Value>
 where
     D: Domain,
-    M: FnMut(&BTreeMap<Symbol, D::Value>) -> D,
+    M: FnMut(&Summaries<D::Value>) -> D,
     F: FnMut(&Function, &Cfg, &D, &DomainAnalysis<D::Value>),
 {
     let order = CallGraph::build(program).bottom_up_order();
@@ -239,11 +241,11 @@ pub fn analyze_framed<D, M, F>(
 ) -> ProgramAnalysis<D::Value>
 where
     D: Domain,
-    M: FnMut(&BTreeMap<Symbol, D::Value>) -> D,
+    M: FnMut(&Summaries<D::Value>) -> D,
     F: FnMut(&Function, &Cfg, &D, &DomainAnalysis<D::Value>),
 {
     let solver = Solver::new(config);
-    let mut summaries: BTreeMap<Symbol, D::Value> = BTreeMap::new();
+    let mut summaries = Summaries::default();
     let mut stats = SolverStats { converged: true, ..SolverStats::default() };
     for &i in order {
         let (func, cfg) = (&program.functions[i], &cfgs[i]);
@@ -252,9 +254,12 @@ where
         stats.absorb(&analysis.stats);
         let ret = return_summary(&domain, cfg, &analysis);
         visit(func, cfg, &domain, &analysis);
-        summaries.insert(func.name.clone(), ret);
+        // The domain's handle is gone, so the insert extends the one
+        // shared table in place instead of copying it.
+        drop(domain);
+        Arc::make_mut(&mut summaries).insert(func.name.clone(), ret);
     }
-    ProgramAnalysis { summaries, stats }
+    ProgramAnalysis { summaries: Arc::unwrap_or_clone(summaries), stats }
 }
 
 /// Joins the abstract value of every reachable `return e;` in the function.
@@ -345,6 +350,36 @@ mod tests {
         // The self-call evaluated to top mid-analysis, so the summary joins
         // top with the constant 0 — i.e. top. Sound, not precise.
         assert!(pa.summaries.contains_key("r"));
+    }
+
+    #[test]
+    fn every_function_sees_the_one_shared_summary_table() {
+        // f0 calls f1 calls ... f999: each domain must be handed the same
+        // allocation, which a per-function copy of the table would break.
+        const N: usize = 1000;
+        let src: String = (0..N)
+            .map(|i| {
+                if i + 1 < N {
+                    format!("int f{i}() {{ return f{}() + 1; }}\n", i + 1)
+                } else {
+                    format!("int f{i}() {{ return 1; }}\n")
+                }
+            })
+            .collect();
+        let p = parse(&src).unwrap();
+        let mut tables = Vec::new();
+        let pa = analyze_program(
+            &p,
+            SolverConfig::default(),
+            |s| {
+                tables.push(Arc::as_ptr(s));
+                IntervalDomain::with_summaries(s.clone())
+            },
+            |_, _, _, _| {},
+        );
+        assert_eq!(tables.len(), N);
+        assert!(tables.iter().all(|&t| std::ptr::eq(t, tables[0])), "table was copied");
+        assert!(pa.summaries["f0"].is_point(N as i64), "summary = {}", pa.summaries["f0"]);
     }
 
     #[test]

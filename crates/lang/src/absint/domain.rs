@@ -4,7 +4,15 @@ use crate::ast::{Expr, ExprKind, Function, UnOp};
 use crate::cfg::CfgInst;
 use crate::intern::Symbol;
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
+
+/// An interprocedural summary table: function name → abstract return value.
+/// The bottom-up drivers hand every function's domain the same allocation
+/// and insert each solved function's summary in place once that domain is
+/// dropped, so a pass never copies the table.
+pub type Summaries<V> = Arc<BTreeMap<Symbol, V>>;
 
 /// An element of a join-semilattice with a widening operator.
 ///
@@ -157,9 +165,9 @@ impl<V: AbstractValue> fmt::Display for Env<V> {
 /// An abstract domain: a value lattice plus the transfer functions that
 /// interpret CFG instructions and branch outcomes over it.
 ///
-/// Domains carry their own interprocedural summary table (function name →
-/// abstract return value) so call expressions can be evaluated without the
-/// solver knowing anything about the call graph.
+/// Domains that evaluate calls hold a shared [`Summaries`] table (function
+/// name → abstract return value), so call expressions can be evaluated
+/// without the solver knowing anything about the call graph.
 pub trait Domain {
     /// The value lattice.
     type Value: AbstractValue;

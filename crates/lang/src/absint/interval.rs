@@ -5,18 +5,21 @@
 //! which lets interval arithmetic on 64-bit program values proceed without
 //! overflow checks on the happy path (any sum or product of two in-range
 //! `i64`s fits in `i128`; the rare `i128` overflow saturates to ±∞).
+//!
+//! [`RangeDomain`] holds the one set of range transfer functions —
+//! expression evaluation, comparison constraints and branch refinement —
+//! for every range-valued domain: [`IntervalDomain`] here and the width
+//! domain ([`super::width`]), whose values differ only in how they widen.
 
-use super::domain::{AbstractValue, Domain, Env};
-use crate::ast::{BinOp, Expr, ExprKind, Function, Type, UnOp};
+use super::domain::{AbstractValue, Domain, Env, Summaries};
+use crate::ast::{BinOp, Expr, ExprKind, Type, UnOp};
 use crate::cfg::CfgInst;
-use crate::intern::Symbol;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// −∞ sentinel.
-const NINF: i128 = i128::MIN;
+pub(crate) const NINF: i128 = i128::MIN;
 /// +∞ sentinel.
-const PINF: i128 = i128::MAX;
+pub(crate) const PINF: i128 = i128::MAX;
 
 /// A (possibly empty) integer range. `lo > hi` encodes bottom; the canonical
 /// bottom is `[1, 0]`.
@@ -84,21 +87,21 @@ impl Interval {
         self.is_bottom() || (self.hi >= i64::MIN as i128 && self.lo <= i64::MAX as i128)
     }
 
-    pub(crate) fn add(&self, other: &Interval) -> Interval {
+    fn add(&self, other: &Interval) -> Interval {
         if self.is_bottom() || other.is_bottom() {
             return Interval::BOTTOM;
         }
         Interval::range(badd(self.lo, other.lo), badd(self.hi, other.hi))
     }
 
-    pub(crate) fn sub(&self, other: &Interval) -> Interval {
+    fn sub(&self, other: &Interval) -> Interval {
         if self.is_bottom() || other.is_bottom() {
             return Interval::BOTTOM;
         }
         Interval::range(badd(self.lo, bneg(other.hi)), badd(self.hi, bneg(other.lo)))
     }
 
-    pub(crate) fn mul(&self, other: &Interval) -> Interval {
+    fn mul(&self, other: &Interval) -> Interval {
         if self.is_bottom() || other.is_bottom() {
             return Interval::BOTTOM;
         }
@@ -114,7 +117,7 @@ impl Interval {
         )
     }
 
-    pub(crate) fn div(&self, other: &Interval) -> Interval {
+    fn div(&self, other: &Interval) -> Interval {
         if self.is_bottom() || other.is_bottom() {
             return Interval::BOTTOM;
         }
@@ -132,7 +135,7 @@ impl Interval {
         }
     }
 
-    pub(crate) fn rem(&self, other: &Interval) -> Interval {
+    fn rem(&self, other: &Interval) -> Interval {
         if self.is_bottom() || other.is_bottom() {
             return Interval::BOTTOM;
         }
@@ -150,14 +153,14 @@ impl Interval {
         }
     }
 
-    pub(crate) fn neg(&self) -> Interval {
+    fn neg(&self) -> Interval {
         if self.is_bottom() {
             return Interval::BOTTOM;
         }
         Interval::range(bneg(self.hi), bneg(self.lo))
     }
 
-    pub(crate) fn as_finite_point(&self) -> Option<i64> {
+    fn as_finite_point(&self) -> Option<i64> {
         if self.lo == self.hi && self.lo != NINF && self.lo != PINF {
             i64::try_from(self.lo).ok()
         } else {
@@ -212,7 +215,7 @@ impl fmt::Display for Interval {
     }
 }
 
-pub(crate) fn badd(a: i128, b: i128) -> i128 {
+fn badd(a: i128, b: i128) -> i128 {
     if a == NINF || b == NINF {
         NINF
     } else if a == PINF || b == PINF {
@@ -222,7 +225,7 @@ pub(crate) fn badd(a: i128, b: i128) -> i128 {
     }
 }
 
-pub(crate) fn bneg(a: i128) -> i128 {
+fn bneg(a: i128) -> i128 {
     if a == NINF {
         PINF
     } else if a == PINF {
@@ -243,29 +246,53 @@ fn bmul(a: i128, b: i128) -> i128 {
     a.checked_mul(b).unwrap_or(if negative { NINF } else { PINF })
 }
 
-/// Interval transfer functions over the mini-C instruction set, with an
-/// interprocedural summary table mapping function names to their abstract
-/// return values (absent entries — externals — evaluate to top).
-#[derive(Debug, Clone, Default)]
-pub struct IntervalDomain {
-    /// Abstract return value per analysed function.
-    pub summaries: BTreeMap<Symbol, Interval>,
+/// A range value the shared transfer functions of [`RangeDomain`] compute
+/// with. All arithmetic, constraint and branch-refinement reasoning happens
+/// on [`Interval`]; a value type only converts to and from it and brings
+/// its own lattice operations (the width domain differs in `widen` alone).
+pub trait RangeValue: AbstractValue + Copy + From<Interval> + Into<Interval> {
+    /// Stable domain name (`"interval"`, `"width"`), used in metrics keys
+    /// and evidence traces.
+    const NAME: &'static str;
 }
 
-impl IntervalDomain {
+impl RangeValue for Interval {
+    const NAME: &'static str = "interval";
+}
+
+/// Range transfer functions over the mini-C instruction set, generic over
+/// the range value `V`, with an interprocedural summary table mapping
+/// function names to their abstract return values (absent entries —
+/// externals — evaluate to top).
+#[derive(Debug, Clone)]
+pub struct RangeDomain<V> {
+    /// Abstract return value per analysed function.
+    pub summaries: Summaries<V>,
+}
+
+/// Value ranges with widening to ±∞.
+pub type IntervalDomain = RangeDomain<Interval>;
+
+impl<V> Default for RangeDomain<V> {
+    fn default() -> Self {
+        RangeDomain { summaries: Summaries::default() }
+    }
+}
+
+impl<V: RangeValue> RangeDomain<V> {
     /// A domain with the given interprocedural summaries.
-    pub fn with_summaries(summaries: BTreeMap<Symbol, Interval>) -> Self {
-        IntervalDomain { summaries }
+    pub fn with_summaries(summaries: Summaries<V>) -> Self {
+        RangeDomain { summaries }
     }
 
-    fn eval_expr(&self, env: &Env<Interval>, e: &Expr) -> Interval {
+    fn eval_range(&self, env: &Env<V>, e: &Expr) -> Interval {
         match &e.kind {
             ExprKind::Int(v) => Interval::point(*v),
             ExprKind::Char(c) => Interval::point(*c as i64),
             ExprKind::Str(_) => Interval::TOP,
-            ExprKind::Var(name) => env.get(name),
+            ExprKind::Var(name) => env.get(name).into(),
             ExprKind::Unary(op, inner) => {
-                let v = self.eval_expr(env, inner);
+                let v = self.eval_range(env, inner);
                 match op {
                     UnOp::Neg => v.neg(),
                     UnOp::Not => Interval::range(0, 1),
@@ -273,8 +300,8 @@ impl IntervalDomain {
                 }
             }
             ExprKind::Binary(op, l, r) => {
-                let a = self.eval_expr(env, l);
-                let b = self.eval_expr(env, r);
+                let a = self.eval_range(env, l);
+                let b = self.eval_range(env, r);
                 match op {
                     BinOp::Add => a.add(&b),
                     BinOp::Sub => a.sub(&b),
@@ -286,87 +313,79 @@ impl IntervalDomain {
                 }
             }
             ExprKind::Call(name, _) => {
-                self.summaries.get(name.as_str()).copied().unwrap_or(Interval::TOP)
+                self.summaries.get(name.as_str()).map_or(Interval::TOP, |&v| v.into())
             }
             ExprKind::Index(_, _) => Interval::TOP,
         }
     }
+}
 
-    /// Applies the comparison `var_value (op) rhs` as a constraint on
-    /// `var_value`, returning the refined interval.
-    fn constrain(var_value: Interval, op: BinOp, rhs: &Interval) -> Interval {
-        if rhs.is_bottom() {
-            return var_value;
-        }
-        match op {
-            BinOp::Lt => var_value.meet(&Interval::range(NINF, badd(rhs.hi, -1))),
-            BinOp::Le => var_value.meet(&Interval::range(NINF, rhs.hi)),
-            BinOp::Gt => var_value.meet(&Interval::range(badd(rhs.lo, 1), PINF)),
-            BinOp::Ge => var_value.meet(&Interval::range(rhs.lo, PINF)),
-            BinOp::Eq => var_value.meet(rhs),
-            BinOp::Ne => match rhs.as_finite_point() {
-                // Only trims when the excluded point is an endpoint.
-                Some(k) if var_value.lo == k as i128 => {
-                    Interval::range(var_value.lo + 1, var_value.hi)
-                }
-                Some(k) if var_value.hi == k as i128 => {
-                    Interval::range(var_value.lo, var_value.hi - 1)
-                }
-                _ => var_value,
-            },
+/// Applies the comparison `var_value (op) rhs` as a constraint on
+/// `var_value`, returning the refined interval.
+fn constrain(var_value: Interval, op: BinOp, rhs: &Interval) -> Interval {
+    if rhs.is_bottom() {
+        return var_value;
+    }
+    match op {
+        BinOp::Lt => var_value.meet(&Interval::range(NINF, badd(rhs.hi, -1))),
+        BinOp::Le => var_value.meet(&Interval::range(NINF, rhs.hi)),
+        BinOp::Gt => var_value.meet(&Interval::range(badd(rhs.lo, 1), PINF)),
+        BinOp::Ge => var_value.meet(&Interval::range(rhs.lo, PINF)),
+        BinOp::Eq => var_value.meet(rhs),
+        BinOp::Ne => match rhs.as_finite_point() {
+            // Only trims when the excluded point is an endpoint.
+            Some(k) if var_value.lo == k as i128 => Interval::range(var_value.lo + 1, var_value.hi),
+            Some(k) if var_value.hi == k as i128 => Interval::range(var_value.lo, var_value.hi - 1),
             _ => var_value,
-        }
-    }
-
-    fn negate_cmp(op: BinOp) -> Option<BinOp> {
-        Some(match op {
-            BinOp::Lt => BinOp::Ge,
-            BinOp::Le => BinOp::Gt,
-            BinOp::Gt => BinOp::Le,
-            BinOp::Ge => BinOp::Lt,
-            BinOp::Eq => BinOp::Ne,
-            BinOp::Ne => BinOp::Eq,
-            _ => return None,
-        })
-    }
-
-    fn flip_cmp(op: BinOp) -> BinOp {
-        match op {
-            BinOp::Lt => BinOp::Gt,
-            BinOp::Le => BinOp::Ge,
-            BinOp::Gt => BinOp::Lt,
-            BinOp::Ge => BinOp::Le,
-            other => other,
-        }
+        },
+        _ => var_value,
     }
 }
 
-impl Domain for IntervalDomain {
-    type Value = Interval;
+fn negate_cmp(op: BinOp) -> Option<BinOp> {
+    Some(match op {
+        BinOp::Lt => BinOp::Ge,
+        BinOp::Le => BinOp::Gt,
+        BinOp::Gt => BinOp::Le,
+        BinOp::Ge => BinOp::Lt,
+        BinOp::Eq => BinOp::Ne,
+        BinOp::Ne => BinOp::Eq,
+        _ => return None,
+    })
+}
+
+fn flip_cmp(op: BinOp) -> BinOp {
+    match op {
+        BinOp::Lt => BinOp::Gt,
+        BinOp::Le => BinOp::Ge,
+        BinOp::Gt => BinOp::Lt,
+        BinOp::Ge => BinOp::Le,
+        other => other,
+    }
+}
+
+impl<V: RangeValue> Domain for RangeDomain<V> {
+    type Value = V;
 
     fn name(&self) -> &'static str {
-        "interval"
+        V::NAME
     }
 
-    fn entry_env(&self, _func: &Function) -> Env<Interval> {
-        Env::reachable_top()
-    }
-
-    fn transfer(&self, env: &mut Env<Interval>, inst: &CfgInst) {
+    fn transfer(&self, env: &mut Env<V>, inst: &CfgInst) {
         match inst {
             CfgInst::Decl { name, ty, init } => {
                 let v = match (ty, init) {
                     // Arrays are storage, not scalar values.
                     (Type::Array(_, _), _) => Interval::TOP,
-                    (_, Some(e)) => self.eval_expr(env, e),
+                    (_, Some(e)) => self.eval_range(env, e),
                     (_, None) => Interval::TOP,
                 };
-                env.set(name, v);
+                env.set(name, v.into());
             }
             CfgInst::Assign { target, value } => {
                 if let crate::ast::LValue::Var(name) = target {
-                    let v = self.eval_expr(env, value);
-                    env.set(name, v);
+                    let v = self.eval_range(env, value);
+                    env.set(name, v.into());
                 }
                 // Indirect stores kill nothing (no alias tracking); checkers
                 // only rely on must-facts derived from literal constants.
@@ -378,35 +397,35 @@ impl Domain for IntervalDomain {
         }
     }
 
-    fn eval(&self, env: &Env<Interval>, e: &Expr) -> Interval {
-        self.eval_expr(env, e)
+    fn eval(&self, env: &Env<V>, e: &Expr) -> V {
+        self.eval_range(env, e).into()
     }
 
-    fn refine(&self, env: &mut Env<Interval>, cond: &Expr, taken: bool) {
+    fn refine(&self, env: &mut Env<V>, cond: &Expr, taken: bool) {
         match &cond.kind {
             ExprKind::Unary(UnOp::Not, inner) => self.refine(env, inner, !taken),
             ExprKind::Var(name) if !taken => {
                 // `if (x)` not taken ⇒ x == 0.
-                let refined = env.get(name).meet(&Interval::point(0));
-                env.set(name, refined);
+                let value: Interval = env.get(name).into();
+                env.set(name, value.meet(&Interval::point(0)).into());
             }
             ExprKind::Binary(op, l, r) if op.is_comparison() => {
                 let (op, var, other) = match (&l.kind, &r.kind) {
                     (ExprKind::Var(v), _) => (*op, v, r),
-                    (_, ExprKind::Var(v)) => (Self::flip_cmp(*op), v, l),
+                    (_, ExprKind::Var(v)) => (flip_cmp(*op), v, l),
                     _ => return,
                 };
                 let op = if taken {
                     op
                 } else {
-                    match Self::negate_cmp(op) {
+                    match negate_cmp(op) {
                         Some(n) => n,
                         None => return,
                     }
                 };
-                let rhs = self.eval_expr(env, other);
-                let refined = Self::constrain(env.get(var), op, &rhs);
-                env.set(var, refined);
+                let rhs = self.eval_range(env, other);
+                let value: Interval = env.get(var).into();
+                env.set(var, constrain(value, op, &rhs).into());
             }
             _ => {}
         }

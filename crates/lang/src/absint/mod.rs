@@ -6,13 +6,14 @@
 //! * [`domain`] — the [`AbstractValue`] lattice contract, the per-variable
 //!   [`Env`] state, and the [`Domain`] transfer-function trait;
 //! * [`interval`] — value ranges with widening to ±∞ (out-of-bounds and
-//!   division-by-zero reasoning);
+//!   division-by-zero reasoning), and the range transfer functions
+//!   ([`RangeDomain`]) the width domain shares;
 //! * [`nullness`] — literal-null provenance tracking for pointers;
 //! * [`init`] — definite-initialization;
 //! * [`ownership`] — heap-handle allocation state (use-after-free and
 //!   double-free as must-facts);
-//! * [`width`] — value ranges with storage-type-boundary widening (integer
-//!   truncation proofs, sharper overflow bounds);
+//! * [`width`] — the interval transfer functions over values with
+//!   storage-type-boundary widening (integer truncation proofs);
 //! * [`provenance`] — attacker-control tracking with per-sink-kind
 //!   sanitizer masks (kind-mismatched sanitization proofs);
 //! * [`solver`] — the reverse-post-order worklist fixpoint engine with a
@@ -57,9 +58,9 @@ pub mod solver;
 pub mod width;
 
 pub use callgraph::{analyze_framed, analyze_program, CallGraph, ProgramAnalysis};
-pub use domain::{AbstractValue, Domain, Env};
+pub use domain::{AbstractValue, Domain, Env, Summaries};
 pub use init::{Init, InitDomain};
-pub use interval::{Interval, IntervalDomain};
+pub use interval::{Interval, IntervalDomain, RangeDomain, RangeValue};
 pub use nullness::{Nullness, NullnessDomain};
 pub use ownership::{Ownership, OwnershipDomain};
 pub use provenance::{Provenance, ProvenanceDomain};

@@ -8,11 +8,9 @@
 //! branch at …") instead of flagging every unannotated pointer. `Unknown`
 //! (no information, e.g. a bare parameter) is never report-worthy.
 
-use super::domain::{AbstractValue, Domain, Env};
-use crate::ast::{BinOp, Expr, ExprKind, Function, Type, UnOp};
+use super::domain::{AbstractValue, Domain, Env, Summaries};
+use crate::ast::{BinOp, Expr, ExprKind, Type, UnOp};
 use crate::cfg::CfgInst;
-use crate::intern::Symbol;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Abstract nullness of a value.
@@ -85,12 +83,12 @@ pub struct NullnessDomain {
     /// to the allocator convention: an unknown callee returning a pointer is
     /// assumed non-null (the bug class we chase is the literal-null path,
     /// not allocation failure).
-    pub summaries: BTreeMap<Symbol, Nullness>,
+    pub summaries: Summaries<Nullness>,
 }
 
 impl NullnessDomain {
     /// A domain with the given interprocedural summaries.
-    pub fn with_summaries(summaries: BTreeMap<Symbol, Nullness>) -> Self {
+    pub fn with_summaries(summaries: Summaries<Nullness>) -> Self {
         NullnessDomain { summaries }
     }
 
@@ -126,10 +124,6 @@ impl Domain for NullnessDomain {
 
     fn name(&self) -> &'static str {
         "nullness"
-    }
-
-    fn entry_env(&self, _func: &Function) -> Env<Nullness> {
-        Env::reachable_top()
     }
 
     fn transfer(&self, env: &mut Env<Nullness>, inst: &CfgInst) {

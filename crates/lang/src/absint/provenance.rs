@@ -16,11 +16,9 @@
 //! team's renamed sanitizer wrapper) — is never report-worthy, keeping the
 //! checker must-style.
 
-use super::domain::{AbstractValue, Domain, Env};
-use crate::ast::{Expr, ExprKind, Function, Type, UnOp};
+use super::domain::{AbstractValue, Domain, Env, Summaries};
+use crate::ast::{Expr, ExprKind, Type, UnOp};
 use crate::cfg::CfgInst;
-use crate::intern::Symbol;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Sink-kind bit: `format` (printf-style format-string position).
@@ -166,12 +164,12 @@ pub struct ProvenanceDomain {
     /// Abstract return provenance per analysed function (a local wrapper
     /// around a source propagates external-ness to its callers). Externals
     /// outside the vocabulary evaluate to top.
-    pub summaries: BTreeMap<Symbol, Provenance>,
+    pub summaries: Summaries<Provenance>,
 }
 
 impl ProvenanceDomain {
     /// A domain with the given interprocedural summaries.
-    pub fn with_summaries(summaries: BTreeMap<Symbol, Provenance>) -> Self {
+    pub fn with_summaries(summaries: Summaries<Provenance>) -> Self {
         ProvenanceDomain { summaries }
     }
 
@@ -230,10 +228,6 @@ impl Domain for ProvenanceDomain {
 
     fn name(&self) -> &'static str {
         "provenance"
-    }
-
-    fn entry_env(&self, _func: &Function) -> Env<Provenance> {
-        Env::reachable_top()
     }
 
     fn transfer(&self, env: &mut Env<Provenance>, inst: &CfgInst) {

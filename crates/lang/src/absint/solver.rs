@@ -56,38 +56,33 @@ pub struct DomainAnalysis<V> {
 }
 
 impl<V: super::domain::AbstractValue> DomainAnalysis<V> {
-    /// Replays the transfer function through `block`, yielding the state
-    /// *before* each instruction together with the instruction itself. This
-    /// is how checkers obtain the evidence state at a report point without
-    /// the solver having to store per-instruction environments.
-    pub fn replay<'c, D: Domain<Value = V>>(
-        &self,
-        domain: &D,
-        cfg: &'c Cfg,
-        block: BlockId,
-    ) -> Vec<(Env<V>, &'c SpannedInst)> {
-        let mut env = self.block_entry[block].clone();
-        let mut out = Vec::with_capacity(cfg.blocks[block].insts.len());
-        for inst in &cfg.blocks[block].insts {
-            let pre = env.clone();
-            domain.transfer(&mut env, &inst.inst);
-            out.push((pre, inst));
-        }
-        out
-    }
-
-    /// The state at the end of `block` after all its instructions.
-    pub fn block_exit<D: Domain<Value = V>>(
-        &self,
-        domain: &D,
-        cfg: &Cfg,
-        block: BlockId,
-    ) -> Env<V> {
-        let mut env = self.block_entry[block].clone();
-        for inst in &cfg.blocks[block].insts {
-            domain.transfer(&mut env, &inst.inst);
-        }
-        env
+    /// Replays the transfer function through every entry-reachable block,
+    /// in block order, yielding the state *before* each instruction together
+    /// with the instruction itself, for every instruction whose pre-state
+    /// is reachable. This is how checkers obtain the evidence state at a
+    /// report point without the solver having to store per-instruction
+    /// environments.
+    pub fn replay<'a, D: Domain<Value = V>>(
+        &'a self,
+        domain: &'a D,
+        cfg: &'a Cfg,
+    ) -> impl Iterator<Item = (Env<V>, &'a SpannedInst)> + 'a {
+        let reachable = cfg.reachable();
+        // Transfer functions never change reachability, so a block whose
+        // entry state is unreachable has no reachable pre-state at all.
+        cfg.blocks
+            .iter()
+            .zip(&self.block_entry)
+            .enumerate()
+            .filter(move |(b, (_, entry))| reachable[*b] && entry.is_reachable())
+            .flat_map(move |(_, (block, entry))| {
+                let mut env = entry.clone();
+                block.insts.iter().map(move |inst| {
+                    let pre = env.clone();
+                    domain.transfer(&mut env, &inst.inst);
+                    (pre, inst)
+                })
+            })
     }
 }
 
@@ -210,7 +205,7 @@ mod tests {
         let (cfg, analysis, domain) =
             solve("int f() { int i = 3; i = i * 4; int t = i + 1; return t; }");
         assert!(analysis.stats.converged);
-        let states = analysis.replay(&domain, &cfg, cfg.entry);
+        let states: Vec<_> = analysis.replay(&domain, &cfg).collect();
         // Before `return t`, t must be exactly 13.
         let (pre, _) = states.last().unwrap();
         assert!(pre.get("t").is_point(13), "t = {}", pre.get("t"));
@@ -230,19 +225,10 @@ mod tests {
         let (cfg, analysis, domain) =
             solve("int f(int x) { int r = 0; if (x < 10) { r = x; } return r; }");
         // Find the block that assigns r = x inside the guard.
-        let mut saw = false;
-        for b in 0..cfg.blocks.len() {
-            for (pre, inst) in analysis.replay(&domain, &cfg, b) {
-                if let crate::cfg::CfgInst::Assign { target, .. } = &inst.inst {
-                    if target.base_var() == Some("r")
-                        && pre.is_reachable()
-                        && pre.get("x").hi() < 10
-                    {
-                        saw = true;
-                    }
-                }
-            }
-        }
+        let saw = analysis.replay(&domain, &cfg).any(|(pre, inst)| {
+            matches!(&inst.inst, CfgInst::Assign { target, .. } if target.base_var() == Some("r"))
+                && pre.get("x").hi() < 10
+        });
         assert!(saw, "taken edge of x < 10 must bound x above by 9");
     }
 
@@ -250,15 +236,11 @@ mod tests {
     fn join_at_diamond_merges_both_arms() {
         let (cfg, analysis, domain) =
             solve("int f(int c) { int r = 0; if (c) { r = 1; } else { r = 5; } return r; }");
-        let mut seen = None;
-        for b in 0..cfg.blocks.len() {
-            for (pre, inst) in analysis.replay(&domain, &cfg, b) {
-                if matches!(inst.inst, crate::cfg::CfgInst::Return(_)) {
-                    seen = Some(pre.get("r"));
-                }
-            }
-        }
-        let r = seen.expect("return reached");
+        let (pre, _) = analysis
+            .replay(&domain, &cfg)
+            .find(|(_, inst)| matches!(inst.inst, CfgInst::Return(_)))
+            .expect("return reached");
+        let r = pre.get("r");
         assert_eq!(r, Interval::point(1).join(&Interval::point(5)));
     }
 

@@ -35,11 +35,6 @@ impl Type {
         Type::Array(Box::new(self), len)
     }
 
-    /// Returns `true` for pointer or array types.
-    pub fn is_indirect(&self) -> bool {
-        matches!(self, Type::Ptr(_) | Type::Array(_, _))
-    }
-
     /// Declared element count for arrays, `None` otherwise.
     pub fn array_len(&self) -> Option<usize> {
         match self {
@@ -149,11 +144,6 @@ impl BinOp {
                 | BinOp::And
                 | BinOp::Or
         )
-    }
-
-    /// Returns `true` for arithmetic operators that can overflow.
-    pub fn is_arithmetic(&self) -> bool {
-        matches!(self, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem | BinOp::Shl)
     }
 }
 
@@ -310,12 +300,6 @@ impl LValue {
                 _ => None,
             },
         }
-    }
-
-    /// Returns `true` if this writes through a pointer or index (i.e. does not
-    /// kill the base variable's own value).
-    pub fn is_indirect(&self) -> bool {
-        !matches!(self, LValue::Var(_))
     }
 }
 
@@ -593,8 +577,6 @@ mod tests {
         assert_eq!(LValue::Var("x".into()).base_var(), Some("x"));
         assert_eq!(LValue::Deref(Expr::var("p")).base_var(), Some("p"));
         assert_eq!(LValue::Index(Expr::var("a"), Expr::int(0)).base_var(), Some("a"));
-        assert!(!LValue::Var("x".into()).is_indirect());
-        assert!(LValue::Deref(Expr::var("p")).is_indirect());
     }
 
     #[test]

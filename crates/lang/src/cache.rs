@@ -417,33 +417,14 @@ impl AnalysisCache {
         result
     }
 
-    /// Memoizes one named downstream analysis of `source`.
+    /// Memoizes one named downstream analysis of the source whose
+    /// [`content_key`](Self::content_key) is `content_key`.
     ///
     /// `kind` names the pass ("findings", "surface", "taint", …) and
     /// `config_key` fingerprints its configuration, so the same source can
     /// carry several memoized passes — and the same pass under different
-    /// configurations — without collision. `compute` runs on a miss.
-    pub fn analysis<T, F>(
-        &self,
-        source: &str,
-        kind: &'static str,
-        config_key: u64,
-        compute: F,
-    ) -> Arc<T>
-    where
-        T: Send + Sync + 'static,
-        F: FnOnce() -> T,
-    {
-        if !self.enabled {
-            self.misses.inc();
-            return Arc::new(compute());
-        }
-        self.analysis_keyed(Self::content_key(source), kind, config_key, compute)
-    }
-
-    /// [`analysis`](Self::analysis) with a precomputed content key, so the
-    /// per-sample hot path hashes each source exactly once across all of its
-    /// memoized passes.
+    /// configurations — without collision. `compute` runs on a miss. The
+    /// caller hashes each source once for all of its memoized passes.
     pub fn analysis_keyed<T, F>(
         &self,
         content_key: u64,
@@ -600,14 +581,15 @@ mod tests {
     #[test]
     fn analyses_are_keyed_by_kind_and_config() {
         let cache = AnalysisCache::new();
-        let a = cache.analysis(SRC, "len", 0, || SRC.len());
-        let b = cache.analysis(SRC, "len", 0, || unreachable!("must hit"));
+        let key = AnalysisCache::content_key(SRC);
+        let a = cache.analysis_keyed(key, "len", 0, || SRC.len());
+        let b = cache.analysis_keyed(key, "len", 0, || unreachable!("must hit"));
         assert!(Arc::ptr_eq(&a, &b));
         // Different config fingerprint recomputes.
-        let c = cache.analysis(SRC, "len", 1, || 999usize);
+        let c = cache.analysis_keyed(key, "len", 1, || 999usize);
         assert_eq!(*c, 999);
         // Different kind with a different type is fine.
-        let d = cache.analysis(SRC, "name", 0, || "f".to_string());
+        let d = cache.analysis_keyed(key, "name", 0, || "f".to_string());
         assert_eq!(*d, "f");
     }
 
@@ -619,8 +601,9 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 2);
-        let n = cache.analysis(SRC, "len", 0, || 1u32);
-        let m = cache.analysis(SRC, "len", 0, || 2u32);
+        let key = AnalysisCache::content_key(SRC);
+        let n = cache.analysis_keyed(key, "len", 0, || 1u32);
+        let m = cache.analysis_keyed(key, "len", 0, || 2u32);
         assert_eq!((*n, *m), (1, 2));
     }
 
@@ -761,8 +744,9 @@ mod tests {
     fn analysis_faults_degrade_without_changing_values() {
         let mut cache = AnalysisCache::new();
         cache.set_fault_hook(Arc::new(|op, _key| op == CacheOp::Get));
-        let a = cache.analysis(SRC, "taint", 0, || 41_u32 + 1);
-        let b = cache.analysis(SRC, "taint", 0, || 41_u32 + 1);
+        let key = AnalysisCache::content_key(SRC);
+        let a = cache.analysis_keyed(key, "taint", 0, || 41_u32 + 1);
+        let b = cache.analysis_keyed(key, "taint", 0, || 41_u32 + 1);
         assert_eq!(*a, 42);
         assert_eq!(*b, 42);
         assert!(!Arc::ptr_eq(&a, &b), "faulted analysis gets recompute");

@@ -54,14 +54,16 @@ impl CfgInst {
         }
     }
 
-    /// The variable directly defined (killed) by this instruction, if any.
-    /// Indirect stores (`*p = …`, `a[i] = …`) do not kill.
-    pub fn defined_var(&self) -> Option<&str> {
-        match self {
-            CfgInst::Decl { name, .. } => Some(name.as_str()),
-            CfgInst::Assign { target: LValue::Var(name), .. } => Some(name.as_str()),
-            _ => None,
-        }
+    /// Every expression syntactically contained in this instruction: the
+    /// evaluated expression ([`CfgInst::expr`]) first, then the operands of
+    /// an indirect assignment target (`*e = …`, `b[i] = …`).
+    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        let target = match self {
+            CfgInst::Assign { target: LValue::Deref(e), .. } => [Some(e), None],
+            CfgInst::Assign { target: LValue::Index(b, i), .. } => [Some(b), Some(i)],
+            _ => [None, None],
+        };
+        self.expr().into_iter().chain(target.into_iter().flatten())
     }
 }
 
@@ -135,29 +137,28 @@ impl Cfg {
     }
 
     /// Blocks in reverse post-order from the entry (good iteration order for
-    /// forward data-flow problems).
+    /// forward data-flow problems). The depth-first walk tries successors
+    /// in edge order and keeps explicit frames, so a function with a very
+    /// long block chain cannot overflow the stack.
     pub fn reverse_post_order(&self) -> Vec<BlockId> {
         let mut visited = vec![false; self.blocks.len()];
         let mut order = Vec::with_capacity(self.blocks.len());
-        self.dfs_post(self.entry, &mut visited, &mut order);
+        // Explicit DFS frames: (block, next-successor position).
+        let mut frames = vec![(self.entry, 0)];
+        visited[self.entry] = true;
+        while let Some(&mut (block, ref mut si)) = frames.last_mut() {
+            if let Some(&s) = self.blocks[block].succs.get(*si) {
+                *si += 1;
+                if !std::mem::replace(&mut visited[s], true) {
+                    frames.push((s, 0));
+                }
+            } else {
+                frames.pop();
+                order.push(block);
+            }
+        }
         order.reverse();
         order
-    }
-
-    fn dfs_post(&self, id: BlockId, visited: &mut [bool], order: &mut Vec<BlockId>) {
-        if visited[id] {
-            return;
-        }
-        visited[id] = true;
-        for &s in &self.blocks[id].succs {
-            self.dfs_post(s, visited, order);
-        }
-        order.push(id);
-    }
-
-    /// Total instruction count across all blocks.
-    pub fn inst_count(&self) -> usize {
-        self.blocks.iter().map(|b| b.insts.len()).sum()
     }
 
     /// Per-block reachability from the entry. The builder prunes all edges
@@ -535,12 +536,57 @@ mod tests {
     }
 
     #[test]
-    fn inst_expr_and_defined_var() {
-        let c = cfg_of("void f(int a) { int x = a + 1; x = 2; *p = 3; }");
+    fn inst_exprs_list_the_value_then_the_target_operands() {
+        let c = cfg_of("void f(int a) { int x = a + 1; x = 2; *p = 3; b[i] = g(); int y; }");
         let insts: Vec<_> = c.blocks.iter().flat_map(|b| b.insts.iter()).collect();
-        assert_eq!(insts[0].inst.defined_var(), Some("x"));
-        assert!(insts[0].inst.expr().is_some());
-        assert_eq!(insts[1].inst.defined_var(), Some("x"));
-        assert_eq!(insts[2].inst.defined_var(), None, "indirect store kills nothing");
+        let rendered = |k: usize| -> Vec<String> {
+            insts[k].inst.exprs().map(crate::printer::print_expr).collect()
+        };
+        assert_eq!(rendered(0), ["a + 1"]);
+        assert_eq!(rendered(1), ["2"]);
+        assert_eq!(rendered(2), ["3", "p"], "the value first, then the deref operand");
+        assert_eq!(rendered(3), ["g()", "b", "i"]);
+        assert!(rendered(4).is_empty(), "a bare declaration evaluates nothing");
+    }
+
+    #[test]
+    fn reverse_post_order_survives_a_long_block_chain() {
+        // 20 000 sequential ifs make a ~40 000-block chain: one DFS level
+        // per block, walked on a thread with a small stack.
+        let src = format!("void f(int x) {{ {} }}", "if (x) { x = 1; } ".repeat(20_000));
+        let c = cfg_of(&src);
+        let n = c.blocks.len();
+        let rpo = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || c.reverse_post_order())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(rpo.len(), n, "every block is reachable");
+        assert_eq!(rpo[0], 0, "the entry comes first");
+    }
+
+    #[test]
+    fn reverse_post_order_matches_the_recursive_definition() {
+        fn post(c: &Cfg, b: BlockId, seen: &mut Vec<bool>, out: &mut Vec<BlockId>) {
+            if std::mem::replace(&mut seen[b], true) {
+                return;
+            }
+            for &s in &c.blocks[b].succs {
+                post(c, s, seen, out);
+            }
+            out.push(b);
+        }
+        for src in [
+            "void f() { while (1) { if (stop()) { break; } tick(); } done(); }",
+            "void f(int n) { for (int i = 0; i < n; i++) { if (i == 3) { continue; } } }",
+            "int f(int x) { if (x) { return 1; x = 2; } else { x = 3; } return x; }",
+        ] {
+            let c = cfg_of(src);
+            let mut expected = Vec::new();
+            post(&c, c.entry, &mut vec![false; c.blocks.len()], &mut expected);
+            expected.reverse();
+            assert_eq!(c.reverse_post_order(), expected, "{src}");
+        }
     }
 }

@@ -29,9 +29,11 @@
 //! ## Equivalence argument
 //!
 //! The driver walks the call graph's strongly connected components in
-//! bottom-up topological order. Members of a cycle feed each other through
-//! a local overlay table in [`analyze_program`]'s relative order, and
-//! payloads are delivered in its exact post-order. A function's solved
+//! bottom-up topological order, solving the members of each in
+//! [`analyze_program`]'s relative order and inserting every solved summary
+//! straight into the one shared table, so each member sees exactly the
+//! callee summaries the batch walk gives it. Payloads are delivered in the
+//! batch driver's exact post-order. A function's solved
 //! fixpoint depends only on its own AST and the summaries of its defined
 //! callees (every domain in the workspace consults summaries only at call
 //! sites), which is precisely what the stage keys hash — so a stage hit
@@ -42,14 +44,14 @@
 //! [`analyze_program`]: crate::absint::analyze_program
 
 use crate::absint::callgraph::{return_summary, CallGraph, ProgramAnalysis};
-use crate::absint::domain::Domain;
+use crate::absint::domain::{Domain, Summaries};
 use crate::absint::solver::{DomainAnalysis, Solver, SolverConfig, SolverStats};
 use crate::ast::{Function, Program};
 use crate::cache::{AnalysisCache, Stage};
 use crate::cfg::Cfg;
 use crate::hash::{fnv1a, fnv1a_seeded, mix64, Fnv1a, FNV_OFFSET};
 use crate::intern::Symbol;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -148,16 +150,17 @@ impl IncrementalTrace {
     /// Folds another pass's trace in: a function counts as solved if *any*
     /// pass solved it, and reused only if every pass reused it.
     pub fn merge(&mut self, other: &IncrementalTrace) {
-        let solved: BTreeSet<String> = self.solved.iter().chain(&other.solved).cloned().collect();
-        self.reused.retain(|n| !solved.contains(n));
-        for n in &other.reused {
-            if !solved.contains(n) && !self.reused.contains(n) {
-                self.reused.push(n.clone());
+        let mut solved: BTreeSet<String> = self.solved.iter().cloned().collect();
+        for n in &other.solved {
+            if solved.insert(n.clone()) {
+                self.solved.push(n.clone());
             }
         }
-        for n in &other.solved {
-            if !self.solved.contains(n) {
-                self.solved.push(n.clone());
+        self.reused.retain(|n| !solved.contains(n));
+        let mut reused: BTreeSet<String> = self.reused.iter().cloned().collect();
+        for n in &other.reused {
+            if !solved.contains(n) && reused.insert(n.clone()) {
+                self.reused.push(n.clone());
             }
         }
     }
@@ -222,7 +225,7 @@ pub fn analyze_program_incremental_in<D, M, C, T>(
 where
     D: Domain,
     D::Value: Clone + std::fmt::Debug + Send + Sync + 'static,
-    M: Fn(&BTreeMap<Symbol, D::Value>) -> D,
+    M: Fn(&Summaries<D::Value>) -> D,
     C: Fn(&Function, &Cfg, &D, &DomainAnalysis<D::Value>) -> T,
     T: Clone + Send + Sync + 'static,
 {
@@ -232,14 +235,14 @@ where
     let fps = &ctx.fps;
 
     let solver = Solver::new(config);
-    let mut completed: BTreeMap<Symbol, D::Value> = BTreeMap::new();
+    let mut completed: Summaries<D::Value> = Summaries::default();
     let mut payload_slots: Vec<Option<T>> = vec![None; program.functions.len()];
     let mut stats = SolverStats { converged: true, ..SolverStats::default() };
     let mut trace = IncrementalTrace::default();
 
     for comp in cg.sccs() {
         // Members in the sequential driver's relative order, so cycle
-        // members accumulate overlay summaries exactly like the batch walk.
+        // members accumulate summaries exactly like the batch walk.
         let mut members = comp;
         members.sort_by_key(|&i| pos[i]);
 
@@ -275,7 +278,7 @@ where
         let cached_findings = cache.stage_get::<FindingsArtifact<T>>(Stage::Findings, findings_key);
         if let (Some(s), Some(f)) = (&cached_summary, &cached_findings) {
             for (name, v) in &s.members {
-                completed.insert(name.clone(), v.clone());
+                Arc::make_mut(&mut completed).insert(name.clone(), v.clone());
                 trace.reused.push(name.to_string());
             }
             stats.absorb(&s.stats);
@@ -285,33 +288,26 @@ where
             continue;
         }
 
-        // Miss on either table: solve the component. The overlay table
-        // reproduces the partial summary table `analyze_program` gives
-        // cycle members.
-        let mut local: Option<BTreeMap<Symbol, D::Value>> = None;
+        // Miss on either table: solve the component. Each member's summary
+        // goes straight into the shared table, so later members of a cycle
+        // see the partial table `analyze_program` gives them.
         let mut art_members: Vec<(Symbol, D::Value)> = Vec::with_capacity(members.len());
         let mut art_payloads: Vec<T> = Vec::with_capacity(members.len());
         let mut comp_stats = SolverStats { converged: true, ..SolverStats::default() };
         for &i in &members {
             let func = &program.functions[i];
             let cfg = cache.stage(Stage::Cfg, fps[i], || Cfg::build(func));
-            let table = local.as_ref().unwrap_or(&completed);
-            let domain = make_domain(table);
+            let domain = make_domain(&completed);
             let analysis = solver.run(&domain, &cfg, func);
             let ret = return_summary(&domain, &cfg, &analysis);
             comp_stats.absorb(&analysis.stats);
             let payload = check(func, &cfg, &domain, &analysis);
-            if members.len() > 1 {
-                local
-                    .get_or_insert_with(|| completed.clone())
-                    .insert(func.name.clone(), ret.clone());
-            }
+            // With the domain's handle gone the insert does not copy.
+            drop(domain);
+            Arc::make_mut(&mut completed).insert(func.name.clone(), ret.clone());
             art_members.push((func.name.clone(), ret));
             art_payloads.push(payload);
             trace.solved.push(func.name.to_string());
-        }
-        for (name, v) in &art_members {
-            completed.insert(name.clone(), v.clone());
         }
         for (&i, t) in members.iter().zip(&art_payloads) {
             payload_slots[i] = Some(t.clone());
@@ -343,7 +339,8 @@ where
             (program.functions[i].name.to_string(), payload)
         })
         .collect();
-    IncrementalRun { analysis: ProgramAnalysis { summaries: completed, stats }, payloads, trace }
+    let summaries = Arc::unwrap_or_clone(completed);
+    IncrementalRun { analysis: ProgramAnalysis { summaries, stats }, payloads, trace }
 }
 
 #[cfg(test)]

@@ -586,19 +586,8 @@ fn check_inst_calls(
             );
         }
     };
-    if let Some(root) = inst.expr() {
-        root.walk(&mut check);
-    }
-    // Indirect-target expressions can also contain calls.
-    if let CfgInst::Assign { target, .. } = inst {
-        match target {
-            LValue::Var(_) => {}
-            LValue::Deref(e) => e.walk(&mut check),
-            LValue::Index(b2, i2) => {
-                b2.walk(&mut check);
-                i2.walk(&mut check);
-            }
-        }
+    for e in inst.exprs() {
+        e.walk(&mut check);
     }
 }
 

@@ -31,7 +31,12 @@ proptest! {
             let src = source(idx);
             if use_analysis {
                 let program = vulnman_lang::parse(&src).unwrap();
-                let _ = cache.analysis(&src, "prop-pass", 0, || program.functions.len());
+                let _ = cache.analysis_keyed(
+                    AnalysisCache::content_key(&src),
+                    "prop-pass",
+                    0,
+                    || program.functions.len(),
+                );
                 if !seen_analysis.insert(idx) {
                     expected_hits += 1;
                 }
